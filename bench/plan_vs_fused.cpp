@@ -1,8 +1,8 @@
-// plan_vs_fused -- A/B bench for the two-phase execution engine: the
-// fused traversal (walk + evaluate in one recursion, the original
-// engine, kept as the OCTGB_FUSED_TRAVERSAL reference path) against
-// the split traversal (build an InteractionPlan once, then replay it
-// through the batched kernels, scalar and SIMD).
+// plan_vs_fused -- A/B bench for the two evaluators on the shared walks
+// of src/gb/traversal.h: the fused evaluator (walk + evaluate in one
+// pass, which the src/runtime drivers use) against the two-phase engine
+// (build an InteractionPlan once, then replay it through the batched
+// kernels, scalar and SIMD).
 //
 // Acceptance gates (ISSUE: perf_opt PR):
 //   * scalar batched energies are BIT-EXACT vs the fused path;

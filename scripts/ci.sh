@@ -67,13 +67,16 @@
 #      level-offset and key-range invariants -- then the same suite in
 #      the TSan build with the tracer armed (the build/refit spans and
 #      the pool contend for the telemetry rings).
+#  15. perfbench-selftest: the benchmark harness's own Python unit
+#      tests (perfbench/tests: statistics, comparison and record
+#      handling; no build needed).
 #
 # Usage: scripts/ci.sh [--tier1-only | --simd-only | --lint-only |
 #                       --detlint-only | --tsan-only | --telemetry-only |
 #                       --validate-only | --loadtest-smoke |
 #                       --fuzz-smoke | --lockgraph-only |
 #                       --sched-smoke-only | --shard-only |
-#                       --treebuild-only]
+#                       --treebuild-only | --perfbench-selftest]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -375,6 +378,15 @@ run_treebuild() {
     build-tsan/tests/octree_test --gtest_brief=1
 }
 
+run_perfbench_selftest() {
+  command -v python3 >/dev/null 2>&1 || {
+    echo "FAIL: perfbench-selftest stage needs python3"
+    return 1
+  }
+  echo "==> perfbench-selftest: perfbench/tests unit tests"
+  python3 -m unittest discover -s perfbench/tests
+}
+
 case "$MODE" in
   --tier1-only)
     run_tier1
@@ -428,6 +440,10 @@ case "$MODE" in
     run_treebuild
     echo "==> treebuild OK"
     ;;
+  --perfbench-selftest)
+    run_perfbench_selftest
+    echo "==> perfbench-selftest OK"
+    ;;
   "")
     run_tier1
     run_asan
@@ -443,10 +459,11 @@ case "$MODE" in
     run_sched_smoke
     run_shard
     run_treebuild
+    run_perfbench_selftest
     echo "==> CI OK"
     ;;
   *)
-    echo "usage: scripts/ci.sh [--tier1-only | --simd-only | --lint-only | --detlint-only | --tsan-only | --telemetry-only | --validate-only | --loadtest-smoke | --fuzz-smoke | --lockgraph-only | --sched-smoke-only | --shard-only | --treebuild-only]" >&2
+    echo "usage: scripts/ci.sh [--tier1-only | --simd-only | --lint-only | --detlint-only | --tsan-only | --telemetry-only | --validate-only | --loadtest-smoke | --fuzz-smoke | --lockgraph-only | --sched-smoke-only | --shard-only | --treebuild-only | --perfbench-selftest]" >&2
     exit 2
     ;;
 esac

@@ -1,11 +1,13 @@
 #include "src/gb/born.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
 #include "src/gb/kernel_primitives.h"
+#include "src/gb/traversal.h"
 #include "src/util/fastmath.h"
 #if defined(OCTGB_VALIDATE_BUILD)
 #include "src/analysis/validate.h"
@@ -17,243 +19,74 @@ namespace {
 
 constexpr double kFourPi = 4.0 * std::numbers::pi;
 
-}  // namespace
+// The inputs of one APPROX-INTEGRALS run: T_A over `mol`, and T_Q over
+// `surf` with its ñ_Q aggregates. Docking pairs trees of two molecules.
+struct IntegralInputs {
+  const octree::Octree& atoms;
+  const molecule::Molecule& mol;
+  const octree::Octree& qpoints;
+  std::span<const geom::Vec3> q_normals;
+  const surface::QuadratureSurface& surf;
+};
 
-double born_far_factor2(const ApproxParams& params) {
-  const double eps = params.eps_born;
-  if (eps <= 0.0) {
-    throw std::invalid_argument("ApproxParams: eps must be > 0");
-  }
-  double f;
-  if (params.strict_born_criterion) {
-    // lint:allow(sqrt-domain) eps > 0 was just validated above
-    const double k = std::pow(1.0 + eps, 1.0 / 6.0);
-    f = (k + 1.0) / (k - 1.0);
-  } else {
-    f = 1.0 + 2.0 / eps;
-  }
-  return f * f;
-}
-
-namespace {
-
-// Squared far-field threshold factor: far iff d^2 > (r_A+r_Q)^2 * this.
-// Default: (d_max/d_min) <= 1+eps, i.e. factor (2+eps)/eps = 1 + 2/eps
-// (the same geometric test as the E_pol phase; see ApproxParams).
-// Strict: the literal sixth-root reading, factor (k+1)/(k-1) with
-// k = (1+eps)^(1/6). Shared with the plan builder as born_far_factor2.
-double far_factor2(const ApproxParams& params) {
-  return born_far_factor2(params);
-}
-
-// Exact kernel contributions of q-leaf Q to every atom of atom-leaf A.
+// Exact kernel contributions of q-leaf `q_leaf` to every atom of atom
+// leaf `a_leaf`.
 template <int Power>
-void exact_leaf_pair(const octree::Octree& atoms_tree,
-                     const molecule::Molecule& mol,
-                     const octree::Octree& q_tree,
-                     const surface::QuadratureSurface& surf,
-                     const octree::Node& a_node, const octree::Node& q_node,
-                     BornWorkspace& ws, bool atomic = true) {
-  const auto a_index = atoms_tree.point_index();
-  const auto q_index = q_tree.point_index();
-  const auto positions = mol.positions();
+void exact_leaf_pair(const IntegralInputs& in, std::uint32_t a_leaf,
+                     std::uint32_t q_leaf, BornWorkspace& ws,
+                     bool atomic = true) {
+  const octree::Node& a_node = in.atoms.node(a_leaf);
+  const octree::Node& q_node = in.qpoints.node(q_leaf);
+  const auto a_index = in.atoms.point_index();
+  const auto q_index = in.qpoints.point_index();
+  const auto positions = in.mol.positions();
   for (std::uint32_t ai = a_node.begin; ai < a_node.end; ++ai) {
     const std::uint32_t a = a_index[ai];
     const geom::Vec3 x = positions[a];
     double acc = 0.0;
     for (std::uint32_t qi = q_node.begin; qi < q_node.end; ++qi) {
       const std::uint32_t q = q_index[qi];
-      acc += born_term<Power>(surf.points[q], surf.normals[q],
-                              surf.weights[q], x);
+      acc += born_term<Power>(in.surf.points[q], in.surf.normals[q],
+                              in.surf.weights[q], x);
     }
     kernel_add(ws.atom_s[a], acc, atomic);
   }
 }
 
-// Far-field monopole deposit of q-node Q into atom-node A's accumulator.
+// Far-field monopole deposit of q-node `q` into atom-node `a`'s
+// accumulator; d2 is their squared center distance.
 template <int Power>
-void far_deposit(const geom::Vec3& q_weighted_normal,
-                 const octree::Node& a_node, const octree::Node& q_node,
-                 double d2, std::uint32_t a_idx, BornWorkspace& ws,
+void far_deposit(const octree::Octree& atoms, const octree::Octree& qpoints,
+                 std::span<const geom::Vec3> q_normals, std::uint32_t a,
+                 std::uint32_t q, double d2, BornWorkspace& ws,
                  bool atomic = true) {
-  const geom::Vec3 diff = q_node.center - a_node.center;
-  kernel_add(ws.node_s[a_idx],
-             q_weighted_normal.dot(diff) * inv_pow<Power>(d2), atomic);
+  const geom::Vec3 diff = qpoints.node(q).center - atoms.node(a).center;
+  kernel_add(ws.node_s[a], q_normals[q].dot(diff) * inv_pow<Power>(d2),
+             atomic);
 }
 
-// Single-tree APPROX-INTEGRALS (Figure 2): Q is a fixed q-point leaf;
-// recurse over the atoms tree only.
-template <int Power = 6>
-void approx_integrals_one_leaf(const octree::Octree& atoms_tree,
-                               const molecule::Molecule& mol,
-                               const octree::Octree& q_tree,
-                               std::span<const geom::Vec3> q_node_normals,
-                               const surface::QuadratureSurface& surf,
-                               std::uint32_t qleaf, double factor2,
-                               BornWorkspace& ws) {
-  const octree::Node& q_node = q_tree.node(qleaf);
-  const geom::Vec3& nq = q_node_normals[qleaf];
-
-  // Explicit stack instead of recursion: T_A can be ~20 deep, but leaf
-  // tasks run on scheduler worker stacks shared with deep spawn trees.
-  std::uint32_t stack[256];  // >= 7 * max_depth + 8 entries
-  int top = 0;
-  stack[top++] = atoms_tree.root_index();
-  while (top > 0) {
-    const std::uint32_t a_idx = stack[--top];
-    const octree::Node& a_node = atoms_tree.node(a_idx);
-    const double s = a_node.radius + q_node.radius;
-    const double d2 = geom::distance2(a_node.center, q_node.center);
-    if (d2 > s * s * factor2 && d2 > 0.0) {
-      far_deposit<Power>(nq, a_node, q_node, d2, a_idx, ws);
-    } else if (a_node.leaf) {
-      exact_leaf_pair<Power>(atoms_tree, mol, q_tree, surf, a_node, q_node,
-                             ws);
-    } else {
-      for (const auto child : a_node.children) {
-        if (child != octree::Node::kInvalid) stack[top++] = child;
-      }
-    }
-  }
-}
-
-template <typename Math, bool kR4 = false>
-void push_integrals_recurse(const BornOctrees& trees,
-                            const molecule::Molecule& mol,
-                            const BornWorkspace& ws, std::uint32_t a_idx,
-                            double prefix, std::size_t begin,
-                            std::size_t end, std::span<double> out,
-                            parallel::WorkStealingPool* pool) {
-  const octree::Node& node = trees.atoms.node(a_idx);
-  if (node.end <= begin || node.begin >= end) return;  // outside segment
-  const double total = prefix + ws.node_s[a_idx];
-  const auto a_index = trees.atoms.point_index();
-  const auto radii = mol.radii();
-  if (node.leaf) {
-    const auto lo = std::max<std::size_t>(node.begin, begin);
-    const auto hi = std::min<std::size_t>(node.end, end);
-    for (std::size_t ai = lo; ai < hi; ++ai) {
-      const std::uint32_t a = a_index[ai];
-      const double s = (ws.atom_s[a] + total) / kFourPi;
-      double r_eff;
-      if constexpr (kR4) {
-        r_eff = s > 0.0 ? 1.0 / s : radii[a];  // Eq. 3: 1/R = s/4pi
-      } else {
-        r_eff = s > 0.0 ? Math::invcbrt(s) : radii[a];  // Eq. 4
-      }
-      out[a] = std::max(radii[a], r_eff);
-    }
-    return;
-  }
-  if (pool != nullptr && node.count() > 4096) {
-    parallel::TaskGroup tg(*pool);
-    for (const auto child : node.children) {
-      if (child == octree::Node::kInvalid) continue;
-      tg.spawn([&, child] {
-        push_integrals_recurse<Math, kR4>(trees, mol, ws, child, total,
-                                          begin, end, out, pool);
-      });
-    }
-    tg.wait();
-  } else {
-    for (const auto child : node.children) {
-      if (child == octree::Node::kInvalid) continue;
-      push_integrals_recurse<Math, kR4>(trees, mol, ws, child, total,
-                                        begin, end, out, nullptr);
-    }
-  }
-}
-
-}  // namespace
-
-void born_exact_leaf_pair(const BornOctrees& trees,
-                          const molecule::Molecule& mol,
-                          const surface::QuadratureSurface& surf,
-                          std::uint32_t a_leaf, std::uint32_t q_leaf,
-                          BornWorkspace& ws, bool atomic) {
-  exact_leaf_pair<6>(trees.atoms, mol, trees.qpoints, surf,
-                     trees.atoms.node(a_leaf), trees.qpoints.node(q_leaf),
-                     ws, atomic);
-}
-
-void born_far_deposit(const BornOctrees& trees, std::uint32_t a_node,
-                      std::uint32_t q_leaf, BornWorkspace& ws,
-                      bool atomic) {
-  const octree::Node& a = trees.atoms.node(a_node);
-  const octree::Node& q = trees.qpoints.node(q_leaf);
-  // Recomputes the same distance expression the traversal classified
-  // with, so the deposited value is identical to the fused path's.
-  const double d2 = geom::distance2(a.center, q.center);
-  far_deposit<6>(trees.q_weighted_normal[q_leaf], a, q, d2, a_node, ws,
-                 atomic);
-}
-
-BornOctrees build_born_octrees(const molecule::Molecule& mol,
-                               const surface::QuadratureSurface& surf,
-                               const octree::OctreeParams& params,
-                               parallel::WorkStealingPool* pool) {
-  BornOctrees trees;
-  trees.atoms = octree::Octree(mol.positions(), params, pool);
-  trees.qpoints = octree::Octree(surf.points, params, pool);
-
-  // Node aggregates ñ_Q = sum w_q n_q: bottom-up, level at a time (deep
-  // to shallow), so every child sum is complete before its parent reads
-  // it. Within a level nodes are independent; each node sums its own
-  // inputs in a fixed order, so parallel and serial sweeps agree bit
-  // for bit.
-  trees.q_weighted_normal.assign(trees.qpoints.num_nodes(), geom::Vec3{});
-  const octree::Octree& qt = trees.qpoints;
-  const auto q_index = qt.point_index();
-  auto sweep = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const octree::Node& node = qt.node(i);
-      geom::Vec3 sum;
-      if (node.leaf) {
-        for (std::uint32_t qi = node.begin; qi < node.end; ++qi) {
-          const std::uint32_t q = q_index[qi];
-          sum += surf.normals[q] * surf.weights[q];
-        }
-      } else {
-        for (const auto child : node.children) {
-          if (child != octree::Node::kInvalid) {
-            sum += trees.q_weighted_normal[child];
-          }
-        }
-      }
-      trees.q_weighted_normal[i] = sum;
-    }
-  };
-  const auto level_offset = qt.level_offset();
-  for (std::size_t level = level_offset.size(); level-- > 1;) {
-    const std::size_t lo = level_offset[level - 1];
-    const std::size_t hi = level_offset[level];
-    if (pool != nullptr && pool->num_workers() > 1 && hi - lo > 128) {
-      pool->run(
-          [&] { parallel::parallel_for(*pool, lo, hi, 64, sweep); });
-    } else {
-      sweep(lo, hi);
-    }
-  }
-  return trees;
-}
-
-void approx_integrals(const BornOctrees& trees,
-                      const molecule::Molecule& mol,
-                      const surface::QuadratureSurface& surf,
-                      std::size_t qleaf_begin, std::size_t qleaf_end,
-                      const ApproxParams& params, BornWorkspace& ws,
-                      parallel::WorkStealingPool* pool) {
-  if (trees.atoms.empty() || trees.qpoints.empty()) return;
-  const double factor2 = far_factor2(params);
-  const auto leaves = trees.qpoints.leaves();
+// APPROX-INTEGRALS (Figure 2) for the q-leaves [qleaf_begin, qleaf_end)
+// of in.qpoints, one walk_born per leaf; one task per leaf with a pool.
+template <int Power>
+void integrals(const IntegralInputs& in, std::size_t qleaf_begin,
+               std::size_t qleaf_end, const ApproxParams& params,
+               BornWorkspace& ws, parallel::WorkStealingPool* pool) {
+  if (in.atoms.empty() || in.qpoints.empty()) return;
+  const BornFarTest far{born_far_factor2(params)};
+  const auto leaves = in.qpoints.leaves();
   qleaf_end = std::min(qleaf_end, leaves.size());
   if (qleaf_begin >= qleaf_end) return;
 
   auto body = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      approx_integrals_one_leaf<6>(trees.atoms, mol, trees.qpoints,
-                                   trees.q_weighted_normal, surf,
-                                   leaves[i], factor2, ws);
+      const std::uint32_t q = leaves[i];
+      walk_born(
+          in.atoms, in.qpoints.node(q), far,
+          [&](std::uint32_t a, double d2) {
+            far_deposit<Power>(in.atoms, in.qpoints, in.q_normals, a, q, d2,
+                               ws);
+          },
+          [&](std::uint32_t a) { exact_leaf_pair<Power>(in, a, q, ws); });
     }
   };
   if (pool != nullptr) {
@@ -265,27 +98,86 @@ void approx_integrals(const BornOctrees& trees,
   }
 }
 
-void push_integrals_to_atoms(const BornOctrees& trees,
-                             const molecule::Molecule& mol,
-                             const BornWorkspace& ws,
-                             std::size_t atom_begin, std::size_t atom_end,
-                             const ApproxParams& params,
-                             std::span<double> out_radii,
-                             parallel::WorkStealingPool* pool) {
+IntegralInputs inputs_of(const BornOctrees& trees,
+                         const molecule::Molecule& mol,
+                         const surface::QuadratureSurface& surf) {
+  return {trees.atoms, mol, trees.qpoints, trees.q_weighted_normal, surf};
+}
+
+// Top-down sweep over the atoms of sorted positions [begin, end):
+// leaf(a, sum) with sum = atom_s[a] + the node_s of a's ancestors,
+// accumulated root first. Subtrees above 4096 atoms fork with a pool.
+template <typename Leaf>
+void sweep_integrals(const octree::Octree& atoms, const BornWorkspace& ws,
+                     std::uint32_t a_idx, double prefix, std::size_t begin,
+                     std::size_t end, const Leaf& leaf,
+                     parallel::WorkStealingPool* pool) {
+  const octree::Node& node = atoms.node(a_idx);
+  if (node.end <= begin || node.begin >= end) return;  // outside segment
+  const double total = prefix + ws.node_s[a_idx];
+  if (node.leaf) {
+    const auto a_index = atoms.point_index();
+    const auto lo = std::max<std::size_t>(node.begin, begin);
+    const auto hi = std::min<std::size_t>(node.end, end);
+    for (std::size_t ai = lo; ai < hi; ++ai) {
+      const std::uint32_t a = a_index[ai];
+      leaf(a, ws.atom_s[a] + total);
+    }
+    return;
+  }
+  if (pool != nullptr && node.count() > 4096) {
+    parallel::TaskGroup tg(*pool);
+    for (const auto child : node.children) {
+      tg.spawn([&, child] {
+        sweep_integrals(atoms, ws, child, total, begin, end, leaf, pool);
+      });
+    }
+    tg.wait();
+  } else {
+    for (const auto child : node.children) {
+      sweep_integrals(atoms, ws, child, total, begin, end, leaf, nullptr);
+    }
+  }
+}
+
+// The Born radius map: R = max(r, (s / 4pi)^(-1/3)) for r^6 (Eq. 4),
+// R = max(r, 4pi / s) for r^4 (Eq. 3).
+template <typename Math, int Power>
+void push_radii(const BornOctrees& trees, const molecule::Molecule& mol,
+                const BornWorkspace& ws, std::size_t begin, std::size_t end,
+                std::span<double> out, parallel::WorkStealingPool* pool) {
+  const auto radii = mol.radii();
+  const auto leaf = [&](std::uint32_t a, double sum) {
+    const double s = sum / kFourPi;
+    double r_eff;
+    if constexpr (Power == 4) {
+      r_eff = s > 0.0 ? 1.0 / s : radii[a];  // Eq. 3: 1/R = s/4pi
+    } else {
+      r_eff = s > 0.0 ? Math::invcbrt(s) : radii[a];  // Eq. 4
+    }
+    out[a] = std::max(radii[a], r_eff);
+  };
+  sweep_integrals(trees.atoms, ws, trees.atoms.root_index(), 0.0, begin, end,
+                  leaf, pool);
+}
+
+// PUSH-INTEGRALS-TO-ATOMS with the r^Power radius map.
+template <int Power>
+void push_integrals(const BornOctrees& trees, const molecule::Molecule& mol,
+                    const BornWorkspace& ws, std::size_t atom_begin,
+                    std::size_t atom_end, const ApproxParams& params,
+                    std::span<double> out_radii,
+                    parallel::WorkStealingPool* pool) {
   if (trees.atoms.empty()) return;
   atom_end = std::min(atom_end, trees.atoms.num_points());
   if (atom_begin >= atom_end) return;
   auto launch = [&](parallel::WorkStealingPool* p) {
     if (params.approx_math) {
-      push_integrals_recurse<util::ApproxMath>(trees, mol, ws,
-                                               trees.atoms.root_index(), 0.0,
-                                               atom_begin, atom_end,
-                                               out_radii, p);
+      push_radii<util::ApproxMath, Power>(trees, mol, ws, atom_begin,
+                                          atom_end, out_radii, p);
     } else {
-      push_integrals_recurse<util::ExactMath>(trees, mol, ws,
-                                              trees.atoms.root_index(), 0.0,
-                                              atom_begin, atom_end,
-                                              out_radii, p);
+      push_radii<util::ExactMath, Power>(trees, mol, ws, atom_begin,
+                                         atom_end, out_radii, p);
     }
   };
   if (pool != nullptr) {
@@ -310,6 +202,131 @@ void push_integrals_to_atoms(const BornOctrees& trees,
 #endif
 }
 
+// Single-tree Born radii with the r^Power kernel: all q-leaves, all atoms.
+template <int Power>
+BornRadiiResult born_radii_single_tree(const BornOctrees& trees,
+                                       const molecule::Molecule& mol,
+                                       const surface::QuadratureSurface& surf,
+                                       const ApproxParams& params,
+                                       parallel::WorkStealingPool* pool) {
+  BornWorkspace ws(trees);
+  integrals<Power>(inputs_of(trees, mol, surf), 0,
+                   trees.qpoints.num_leaves(), params, ws, pool);
+  BornRadiiResult out;
+  out.radii.assign(mol.size(), 0.0);
+  push_integrals<Power>(trees, mol, ws, 0, mol.size(), params, out.radii,
+                        pool);
+  return out;
+}
+
+}  // namespace
+
+double born_far_factor2(const ApproxParams& params) {
+  const double eps = params.eps_born;
+  if (eps <= 0.0) {
+    throw std::invalid_argument("ApproxParams: eps must be > 0");
+  }
+  double f;
+  if (params.strict_born_criterion) {
+    // lint:allow(sqrt-domain) eps > 0 was just validated above
+    const double k = std::pow(1.0 + eps, 1.0 / 6.0);
+    f = (k + 1.0) / (k - 1.0);
+  } else {
+    f = 1.0 + 2.0 / eps;
+  }
+  return f * f;
+}
+
+void born_exact_leaf_pair(const BornOctrees& trees,
+                          const molecule::Molecule& mol,
+                          const surface::QuadratureSurface& surf,
+                          std::uint32_t a_leaf, std::uint32_t q_leaf,
+                          BornWorkspace& ws, bool atomic) {
+  exact_leaf_pair<6>(inputs_of(trees, mol, surf), a_leaf, q_leaf, ws,
+                     atomic);
+}
+
+void born_far_deposit(const BornOctrees& trees, std::uint32_t a_node,
+                      std::uint32_t q_leaf, BornWorkspace& ws,
+                      bool atomic) {
+  // Recomputes the same distance expression the walk classified with,
+  // so the deposited value is identical to the fused path's.
+  const double d2 = geom::distance2(trees.atoms.node(a_node).center,
+                                    trees.qpoints.node(q_leaf).center);
+  far_deposit<6>(trees.atoms, trees.qpoints, trees.q_weighted_normal, a_node,
+                 q_leaf, d2, ws, atomic);
+}
+
+std::vector<geom::Vec3> q_weighted_normals(
+    const octree::Octree& q_tree, const surface::QuadratureSurface& surf,
+    parallel::WorkStealingPool* pool) {
+  // Bottom-up, a level at a time (deep to shallow), so every child sum
+  // is complete before its parent reads it. Within a level nodes are
+  // independent; each node sums its own inputs in a fixed order, so
+  // parallel and serial sweeps agree bit for bit.
+  std::vector<geom::Vec3> out(q_tree.num_nodes(), geom::Vec3{});
+  const auto q_index = q_tree.point_index();
+  auto sweep = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const octree::Node& node = q_tree.node(i);
+      geom::Vec3 sum;
+      if (node.leaf) {
+        for (std::uint32_t qi = node.begin; qi < node.end; ++qi) {
+          const std::uint32_t q = q_index[qi];
+          sum += surf.normals[q] * surf.weights[q];
+        }
+      } else {
+        for (const auto child : node.children) sum += out[child];
+      }
+      out[i] = sum;
+    }
+  };
+  const auto level_offset = q_tree.level_offset();
+  for (std::size_t level = level_offset.size(); level-- > 1;) {
+    const std::size_t lo = level_offset[level - 1];
+    const std::size_t hi = level_offset[level];
+    if (pool != nullptr && pool->num_workers() > 1 && hi - lo > 128) {
+      pool->run(
+          [&] { parallel::parallel_for(*pool, lo, hi, 64, sweep); });
+    } else {
+      sweep(lo, hi);
+    }
+  }
+  return out;
+}
+
+BornOctrees build_born_octrees(const molecule::Molecule& mol,
+                               const surface::QuadratureSurface& surf,
+                               const octree::OctreeParams& params,
+                               parallel::WorkStealingPool* pool) {
+  BornOctrees trees;
+  trees.atoms = octree::Octree(mol.positions(), params, pool);
+  trees.qpoints = octree::Octree(surf.points, params, pool);
+  trees.q_weighted_normal = q_weighted_normals(trees.qpoints, surf, pool);
+  return trees;
+}
+
+void approx_integrals(const BornOctrees& trees,
+                      const molecule::Molecule& mol,
+                      const surface::QuadratureSurface& surf,
+                      std::size_t qleaf_begin, std::size_t qleaf_end,
+                      const ApproxParams& params, BornWorkspace& ws,
+                      parallel::WorkStealingPool* pool) {
+  integrals<6>(inputs_of(trees, mol, surf), qleaf_begin, qleaf_end, params,
+               ws, pool);
+}
+
+void push_integrals_to_atoms(const BornOctrees& trees,
+                             const molecule::Molecule& mol,
+                             const BornWorkspace& ws,
+                             std::size_t atom_begin, std::size_t atom_end,
+                             const ApproxParams& params,
+                             std::span<double> out_radii,
+                             parallel::WorkStealingPool* pool) {
+  push_integrals<6>(trees, mol, ws, atom_begin, atom_end, params, out_radii,
+                    pool);
+}
+
 void approx_integrals_cross(const octree::Octree& atoms_tree,
                             const molecule::Molecule& atoms_mol,
                             const octree::Octree& q_tree,
@@ -317,53 +334,18 @@ void approx_integrals_cross(const octree::Octree& atoms_tree,
                             const surface::QuadratureSurface& surf,
                             const ApproxParams& params, BornWorkspace& ws,
                             parallel::WorkStealingPool* pool) {
-  if (atoms_tree.empty() || q_tree.empty()) return;
-  const double factor2 = far_factor2(params);
-  const auto leaves = q_tree.leaves();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      approx_integrals_one_leaf<6>(atoms_tree, atoms_mol, q_tree,
-                                   q_node_normals, surf, leaves[i],
-                                   factor2, ws);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] {
-      parallel::parallel_for(*pool, 0, leaves.size(), 1, body);
-    });
-  } else {
-    body(0, leaves.size());
-  }
+  integrals<6>({atoms_tree, atoms_mol, q_tree, q_node_normals, surf}, 0,
+               q_tree.num_leaves(), params, ws, pool);
 }
 
 void collect_integrals_to_atoms(const octree::Octree& atoms_tree,
                                 const BornWorkspace& ws,
                                 std::span<double> out_sums) {
   if (atoms_tree.empty()) return;
-  // DFS with ancestor prefix sums; the tree is in pre-order, so a simple
-  // recursion over node indices suffices.
-  struct Frame {
-    std::uint32_t node;
-    double prefix;
-  };
-  std::vector<Frame> stack{{atoms_tree.root_index(), 0.0}};
-  const auto index = atoms_tree.point_index();
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const octree::Node& node = atoms_tree.node(f.node);
-    const double total = f.prefix + ws.node_s[f.node];
-    if (node.leaf) {
-      for (std::uint32_t ai = node.begin; ai < node.end; ++ai) {
-        const std::uint32_t a = index[ai];
-        out_sums[a] = ws.atom_s[a] + total;
-      }
-      continue;
-    }
-    for (const auto child : node.children) {
-      if (child != octree::Node::kInvalid) stack.push_back({child, total});
-    }
-  }
+  sweep_integrals(
+      atoms_tree, ws, atoms_tree.root_index(), 0.0, 0,
+      atoms_tree.num_points(),
+      [&](std::uint32_t a, double sum) { out_sums[a] = sum; }, nullptr);
 }
 
 BornRadiiResult born_radii_octree(const BornOctrees& trees,
@@ -371,14 +353,7 @@ BornRadiiResult born_radii_octree(const BornOctrees& trees,
                                   const surface::QuadratureSurface& surf,
                                   const ApproxParams& params,
                                   parallel::WorkStealingPool* pool) {
-  BornWorkspace ws(trees);
-  approx_integrals(trees, mol, surf, 0, trees.qpoints.num_leaves(), params,
-                   ws, pool);
-  BornRadiiResult out;
-  out.radii.assign(mol.size(), 0.0);
-  push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params, out.radii,
-                          pool);
-  return out;
+  return born_radii_single_tree<6>(trees, mol, surf, params, pool);
 }
 
 BornRadiiResult born_radii_octree_r4(const BornOctrees& trees,
@@ -386,43 +361,7 @@ BornRadiiResult born_radii_octree_r4(const BornOctrees& trees,
                                      const surface::QuadratureSurface& surf,
                                      const ApproxParams& params,
                                      parallel::WorkStealingPool* pool) {
-  BornRadiiResult out;
-  out.radii.assign(mol.size(), 0.0);
-  if (trees.atoms.empty() || trees.qpoints.empty()) return out;
-  BornWorkspace ws(trees);
-  const double factor2 = far_factor2(params);
-  const auto leaves = trees.qpoints.leaves();
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      approx_integrals_one_leaf<4>(trees.atoms, mol, trees.qpoints,
-                                   trees.q_weighted_normal, surf,
-                                   leaves[i], factor2, ws);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] {
-      parallel::parallel_for(*pool, 0, leaves.size(), 1, body);
-    });
-  } else {
-    body(0, leaves.size());
-  }
-  auto push = [&](parallel::WorkStealingPool* p) {
-    if (params.approx_math) {
-      push_integrals_recurse<util::ApproxMath, true>(
-          trees, mol, ws, trees.atoms.root_index(), 0.0, 0, mol.size(),
-          out.radii, p);
-    } else {
-      push_integrals_recurse<util::ExactMath, true>(
-          trees, mol, ws, trees.atoms.root_index(), 0.0, 0, mol.size(),
-          out.radii, p);
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] { push(pool); });
-  } else {
-    push(nullptr);
-  }
-  return out;
+  return born_radii_single_tree<4>(trees, mol, surf, params, pool);
 }
 
 BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
@@ -432,96 +371,20 @@ BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
                                     parallel::WorkStealingPool* pool) {
   BornWorkspace ws(trees);
   if (!trees.atoms.empty() && !trees.qpoints.empty()) {
-    const double factor2 = far_factor2(params);
-
-    // Simultaneous traversal, collected into an explicit pair frontier
-    // so the leaf-level work can be distributed by the scheduler.
-    struct Pair {
-      std::uint32_t a, q;
-    };
-    std::vector<Pair> frontier{{trees.atoms.root_index(),
-                                trees.qpoints.root_index()}};
-    std::vector<Pair> work;  // pairs ready for direct evaluation
-    const std::size_t expand_target = pool ? 4096 : 1;
-
-    auto classify = [&](const Pair& pr, auto&& emit_pair,
-                        auto&& emit_work) {
-      const octree::Node& a_node = trees.atoms.node(pr.a);
-      const octree::Node& q_node = trees.qpoints.node(pr.q);
-      const double s = a_node.radius + q_node.radius;
-      const double d2 = geom::distance2(a_node.center, q_node.center);
-      if ((d2 > s * s * factor2 && d2 > 0.0) ||
-          (a_node.leaf && q_node.leaf)) {
-        emit_work(pr);
-        return;
-      }
-      // Recurse into the non-leaf side(s); when both are internal split
-      // the one with the larger radius (keeps pairs well-balanced).
-      const bool split_a =
-          !a_node.leaf && (q_node.leaf || a_node.radius >= q_node.radius);
-      if (split_a) {
-        for (const auto child : a_node.children) {
-          if (child != octree::Node::kInvalid) emit_pair({child, pr.q});
-        }
-      } else {
-        for (const auto child : q_node.children) {
-          if (child != octree::Node::kInvalid) emit_pair({pr.a, child});
-        }
-      }
-    };
-
-    while (!frontier.empty() && frontier.size() + work.size() < expand_target) {
-      std::vector<Pair> next;
-      next.reserve(frontier.size() * 4);
-      for (const Pair& pr : frontier) {
-        classify(
-            pr, [&](Pair p) { next.push_back(p); },
-            [&](Pair p) { work.push_back(p); });
-      }
-      frontier = std::move(next);
-    }
-
-    auto process = [&](const Pair& start) {
-      // Depth-first from `start`, evaluating far/leaf pairs in place.
-      std::vector<Pair> stack{start};
-      while (!stack.empty()) {
-        const Pair pr = stack.back();
-        stack.pop_back();
-        classify(
-            pr, [&](Pair p) { stack.push_back(p); },
-            [&](Pair p) {
-              const octree::Node& a_node = trees.atoms.node(p.a);
-              const octree::Node& q_node = trees.qpoints.node(p.q);
-              const double s = a_node.radius + q_node.radius;
-              const double d2 =
-                  geom::distance2(a_node.center, q_node.center);
-              if (d2 > s * s * factor2 && d2 > 0.0) {
-                far_deposit<6>(trees.q_weighted_normal[p.q], a_node,
-                               q_node, d2, p.a, ws);
-              } else {
-                exact_leaf_pair<6>(trees.atoms, mol, trees.qpoints, surf,
-                                   a_node, q_node, ws);
-              }
-            });
-      }
-    };
-
-    std::vector<Pair> all(std::move(work));
-    all.insert(all.end(), frontier.begin(), frontier.end());
-    if (pool != nullptr) {
-      pool->run([&] {
-        parallel::parallel_for(*pool, 0, all.size(), 1,
-                               [&](std::size_t lo, std::size_t hi) {
-                                 for (std::size_t i = lo; i < hi; ++i) {
-                                   process(all[i]);
-                                 }
-                               });
-      });
-    } else {
-      for (const Pair& pr : all) process(pr);
-    }
+    const IntegralInputs in = inputs_of(trees, mol, surf);
+    walk_dual(
+        trees.atoms, trees.qpoints, BornFarTest{born_far_factor2(params)},
+        [&](std::uint32_t a, std::uint32_t q, double d2) {
+          far_deposit<6>(trees.atoms, trees.qpoints, trees.q_weighted_normal,
+                         a, q, d2, ws);
+          return 0.0;
+        },
+        [&](std::uint32_t a, std::uint32_t q) {
+          exact_leaf_pair<6>(in, a, q, ws);
+          return 0.0;
+        },
+        pool);
   }
-
   BornRadiiResult out;
   out.radii.assign(mol.size(), 0.0);
   push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params, out.radii,

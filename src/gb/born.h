@@ -1,19 +1,25 @@
 // born.h -- octree-accelerated r^6 Born radii (Figure 2 of the paper).
 //
-// Two traversal strategies are provided:
+// Two traversal strategies are provided, both walks of
+// src/gb/traversal.h with the kernels below as visitors:
 //
 //  * approx_integrals / push_integrals_to_atoms: the *single-tree* scheme
-//    of this paper's distributed algorithms -- each leaf Q of the q-point
-//    octree is pushed through the atoms octree; far (A, Q) pairs deposit a
-//    monopole contribution into the node accumulator s_A, near leaf pairs
-//    compute exactly into per-atom accumulators s_a; a final top-down pass
-//    sums ancestor contributions and applies
+//    of this paper's distributed algorithms (walk_born) -- each leaf Q of
+//    the q-point octree is pushed through the atoms octree; far (A, Q)
+//    pairs deposit a monopole contribution into the node accumulator s_A,
+//    near leaf pairs compute exactly into per-atom accumulators s_a; a
+//    final top-down pass sums ancestor contributions and applies
 //        R_a = max(r_a, ((s_a + sum_ancestors s_A) / 4pi)^(-1/3)).
 //
 //  * born_radii_dualtree: the *simultaneous* two-octree traversal of the
-//    prior shared-memory work [Chowdhury & Bajaj 2010], used by the
-//    OCT_CILK driver (Section IV: "The major difference of our approach
-//    from [6] is that we only traverse one octree instead of two").
+//    prior shared-memory work [Chowdhury & Bajaj 2010] (walk_dual), used
+//    by the OCT_CILK driver (Section IV: "The major difference of our
+//    approach from [6] is that we only traverse one octree instead of
+//    two").
+//
+// These fused entry points evaluate each pair as the walk finds it and
+// hold no pair lists; the plan-driven executors of kernels_batch.h run
+// the same r^6 single-tree pairs from a cached InteractionPlan.
 //
 // Far-field criterion: by default (A, Q) is far when
 //     r_AQ > (r_A + r_Q) * (1 + 2/eps),
@@ -45,6 +51,13 @@ struct BornOctrees {
   std::vector<geom::Vec3> q_weighted_normal;
 };
 
+/// The ñ_Q aggregates of `q_tree` over `surf` (one sum per node),
+/// bottom-up a level at a time. Each node sums its inputs in a fixed
+/// order, so a pooled sweep is bit-identical to the serial one.
+std::vector<geom::Vec3> q_weighted_normals(
+    const octree::Octree& q_tree, const surface::QuadratureSurface& surf,
+    parallel::WorkStealingPool* pool = nullptr);
+
 /// Builds T_A, T_Q and the q-node aggregates. With a pool, the octree
 /// builds (Morton sort + level sweeps) and the per-level normal sums
 /// run on it; results are bit-identical to the serial build.
@@ -56,7 +69,8 @@ BornOctrees build_born_octrees(const molecule::Molecule& mol,
 /// Squared Born far-field factor: (A, Q) is far iff
 /// d^2 > (r_A + r_Q)^2 * born_far_factor2(params). Exported so the
 /// interaction-plan builder applies the identical criterion the fused
-/// traversal uses. Throws std::invalid_argument for eps <= 0.
+/// evaluators use (BornFarTest). Throws std::invalid_argument for
+/// eps <= 0.
 double born_far_factor2(const ApproxParams& params);
 
 /// Mutable accumulators for one Born-radius computation. node_s is
@@ -68,19 +82,18 @@ struct BornWorkspace {
   std::vector<double> node_s;
   std::vector<double> atom_s;
 
-  explicit BornWorkspace(const BornOctrees& trees)
-      : node_s(trees.atoms.num_nodes(), 0.0),
-        atom_s(trees.atoms.num_points(), 0.0) {}
-
-  /// For cross-tree runs (docking): sized by an arbitrary atoms octree.
+  /// Sized by an atoms octree; docking passes the receptor's.
   explicit BornWorkspace(const octree::Octree& atoms_tree)
       : node_s(atoms_tree.num_nodes(), 0.0),
         atom_s(atoms_tree.num_points(), 0.0) {}
+
+  explicit BornWorkspace(const BornOctrees& trees)
+      : BornWorkspace(trees.atoms) {}
 };
 
 /// Exact r^6 block of one (T_A leaf, T_Q leaf) pair: accumulates every
 /// q-point of `q_leaf` against every atom of `a_leaf` into ws.atom_s.
-/// This is the identical code path the fused traversal runs for a near
+/// This is the identical code path the fused evaluator runs for a near
 /// pair; the batched plan executor's scalar engine replays plans through
 /// it so the two engines agree bit-for-bit.
 void born_exact_leaf_pair(const BornOctrees& trees,
@@ -147,10 +160,10 @@ BornRadiiResult born_radii_octree(const BornOctrees& trees,
                                   parallel::WorkStealingPool* pool = nullptr);
 
 /// Octree-accelerated r^4 (Coulomb-field approximation, Eq. 3) Born
-/// radii: same near-far traversal with the 1/|p_q - x|^4 kernel and the
-/// final map R_a = max(r_a, 4pi / s). The paper uses r^6 (better for
-/// globular solutes, Section II); the r^4 path exists for comparison
-/// and validates against born_radii_naive_r4.
+/// radii: the born_radii_octree walk and push with the 1/|p_q - x|^4
+/// kernel and the final map R_a = max(r_a, 4pi / s). The paper uses r^6
+/// (better for globular solutes, Section II); the r^4 path exists for
+/// comparison and validates against born_radii_naive_r4.
 BornRadiiResult born_radii_octree_r4(const BornOctrees& trees,
                                      const molecule::Molecule& mol,
                                      const surface::QuadratureSurface& surf,

@@ -32,17 +32,14 @@ GBResult compute_gb_energy(const molecule::Molecule& mol,
   }();
   result.t_tree_build = timer.seconds();
 
-  // The two-phase engine (traverse once into an InteractionPlan, then
-  // run batched kernels) covers the paper's headline configuration:
-  // single-tree traversal with the r^6 Born kernel. The r^4 and
-  // dual-tree variants keep the fused traversal, as does everything
-  // when the OCTGB_FUSED_TRAVERSAL reference flag is set.
-  const bool batched = traversal == Traversal::kSingleTree &&
-                       params.kernel == BornKernel::kSurfaceR6 &&
-                       use_batched_engine();
+  // The caller picks the engine. The paper's headline configuration,
+  // single-tree traversal with the r^6 Born kernel, runs two-phase:
+  // walk once into an InteractionPlan, then batched (SIMD) kernels. The
+  // r^4 and dual-tree variants evaluate fused, with no plan in memory.
   BornRadiiResult born;
   EpolResult epol;
-  if (batched) {
+  if (traversal == Traversal::kSingleTree &&
+      params.kernel == BornKernel::kSurfaceR6) {
     timer.restart();
     const InteractionPlan plan = [&] {
       OCTGB_TRACE_SCOPE("calc/plan_build");
@@ -68,16 +65,11 @@ GBResult compute_gb_energy(const molecule::Molecule& mol,
     timer.restart();
     {
       OCTGB_TRACE_SCOPE("calc/born");
-      if (params.kernel == BornKernel::kSurfaceR4) {
-        // r^4 path is single-tree only (the dual-tree variant exists for
-        // the paper's r^6 OCT_CILK comparison).
-        born = born_radii_octree_r4(trees, mol, surf, params.approx, pool);
-      } else {
-        born = traversal == Traversal::kSingleTree
-                   ? born_radii_octree(trees, mol, surf, params.approx, pool)
-                   : born_radii_dualtree(trees, mol, surf, params.approx,
-                                         pool);
-      }
+      // r^4 is single-tree only (the dual-tree variant exists for the
+      // paper's r^6 OCT_CILK comparison).
+      born = params.kernel == BornKernel::kSurfaceR4
+                 ? born_radii_octree_r4(trees, mol, surf, params.approx, pool)
+                 : born_radii_dualtree(trees, mol, surf, params.approx, pool);
     }
     result.t_born = timer.seconds();
 

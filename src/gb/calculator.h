@@ -51,8 +51,8 @@ struct GBResult {
   std::size_t num_qpoints = 0;
 
   // Per-phase wall-clock seconds. t_plan is the interaction-list
-  // traversal of the two-phase engine; zero on the fused paths (r^4,
-  // dual-tree, or OCTGB_FUSED_TRAVERSAL set).
+  // walk of the two-phase engine; zero on the fused paths (r^4 and
+  // dual-tree).
   double t_surface = 0.0;
   double t_tree_build = 0.0;
   double t_plan = 0.0;

@@ -2,59 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+
+#include "src/gb/traversal.h"
 
 namespace octgb::gb {
 
 namespace {
 
-double far_factor(const ApproxParams& params, bool born) {
-  if (born && params.strict_born_criterion) {
-    // lint:allow(sqrt-domain) eps > 0 enforced by born_far_factor2
-    const double k = std::pow(1.0 + params.eps_born, 1.0 / 6.0);
-    return (k + 1.0) / (k - 1.0);
+// A far box taken at center distance^2 d2, s = r_node + r_target.
+void count_far(double s, double d2, TraversalStats& stats) {
+  ++stats.far_boxes;
+  const double d = std::sqrt(d2);
+  if (d > s) {
+    stats.max_kernel_spread =
+        std::max(stats.max_kernel_spread, (d + s) / (d - s));
   }
-  const double eps = born ? params.eps_born : params.eps_epol;
-  return 1.0 + 2.0 / eps;
 }
 
-// Walks one target-leaf-vs-tree traversal, counting partition outcomes.
-void walk(const octree::Octree& tree, const octree::Node& target,
-          double factor, bool leaf_first, TraversalStats& stats) {
-  const double factor2 = factor * factor;
-  std::vector<std::uint32_t> stack{tree.root_index()};
-  while (!stack.empty()) {
-    const std::uint32_t idx = stack.back();
-    stack.pop_back();
-    const octree::Node& node = tree.node(idx);
-    const double s = node.radius + target.radius;
-    const double d2 = geom::distance2(node.center, target.center);
-    // E_pol checks LEAF(U) before the far test (Figure 3); the Born
-    // traversal checks far first (Figure 2).
-    const bool is_far = d2 > s * s * factor2 && d2 > 0.0;
-    if (leaf_first && node.leaf) {
-      ++stats.exact_blocks;
-      stats.exact_pairs += node.count() * target.count();
-      continue;
-    }
-    if (is_far) {
-      ++stats.far_boxes;
-      const double d = std::sqrt(d2);
-      if (d > s) {
-        stats.max_kernel_spread =
-            std::max(stats.max_kernel_spread, (d + s) / (d - s));
-      }
-      continue;
-    }
-    if (node.leaf) {
-      ++stats.exact_blocks;
-      stats.exact_pairs += node.count() * target.count();
-      continue;
-    }
-    for (const auto child : node.children) {
-      if (child != octree::Node::kInvalid) stack.push_back(child);
-    }
-  }
+void count_near(const octree::Node& node, const octree::Node& target,
+                TraversalStats& stats) {
+  ++stats.exact_blocks;
+  stats.exact_pairs += node.count() * target.count();
 }
 
 }  // namespace
@@ -65,10 +33,15 @@ TraversalStats born_traversal_stats(const BornOctrees& trees,
   if (trees.atoms.empty() || trees.qpoints.empty()) return stats;
   stats.naive_pairs =
       trees.atoms.num_points() * trees.qpoints.num_points();
-  const double factor = far_factor(params, /*born=*/true);
+  const BornFarTest far{born_far_factor2(params)};
   for (const auto qleaf : trees.qpoints.leaves()) {
-    walk(trees.atoms, trees.qpoints.node(qleaf), factor,
-         /*leaf_first=*/false, stats);
+    const octree::Node& q = trees.qpoints.node(qleaf);
+    walk_born(
+        trees.atoms, q, far,
+        [&](std::uint32_t a, double d2) {
+          count_far(trees.atoms.node(a).radius + q.radius, d2, stats);
+        },
+        [&](std::uint32_t a) { count_near(trees.atoms.node(a), q, stats); });
   }
   return stats;
 }
@@ -78,10 +51,15 @@ TraversalStats epol_traversal_stats(const octree::Octree& atoms_tree,
   TraversalStats stats;
   if (atoms_tree.empty()) return stats;
   stats.naive_pairs = atoms_tree.num_points() * atoms_tree.num_points();
-  const double factor = far_factor(params, /*born=*/false);
+  const EpolFarTest far{1.0 + 2.0 / params.eps_epol};
   for (const auto vleaf : atoms_tree.leaves()) {
-    walk(atoms_tree, atoms_tree.node(vleaf), factor, /*leaf_first=*/true,
-         stats);
+    const octree::Node& v = atoms_tree.node(vleaf);
+    walk_epol(
+        atoms_tree, v.center, v.radius, far,
+        [&](std::uint32_t u) { count_near(atoms_tree.node(u), v, stats); },
+        [&](std::uint32_t u, double d2) {
+          count_far(atoms_tree.node(u).radius + v.radius, d2, stats);
+        });
   }
   return stats;
 }

@@ -4,8 +4,8 @@
 //   T_comp = O( (1/eps^3) (M/(P p) + log M) )      per phase,
 // driven by how the far-field criterion partitions node pairs into
 // *pruned* far boxes and *exact* near blocks. This module instruments
-// that partition without touching the hot kernels: it re-runs the
-// traversal control flow only (no kernel math) and reports
+// that partition without touching the hot kernels: it runs the engines'
+// own walks (src/gb/traversal.h) with counting visitors and reports
 //
 //   * far deposits / exact blocks / exact pair-interactions counted,
 //   * the pruning ratio (exact pairs vs the naive M*m or M^2 total),

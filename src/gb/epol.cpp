@@ -6,6 +6,7 @@
 
 #include "src/analysis/contracts.h"
 #include "src/gb/kernel_primitives.h"
+#include "src/gb/traversal.h"
 #include "src/parallel/det_reduce.h"
 #include "src/util/fastmath.h"
 #if defined(OCTGB_VALIDATE_BUILD)
@@ -15,15 +16,6 @@
 namespace octgb::gb {
 
 namespace {
-
-// Bin index of Born radius R: floor(log_{1+eps}(R / R_min)), clamped.
-int bin_of(double born, const ChargeBins& bins) {
-  if (born <= bins.r_min) return 0;
-  // lint:allow(narrow-cast) log-bin truncation is the binning rule itself
-  const int k = static_cast<int>(std::log(born / bins.r_min) *
-                                 bins.inv_log1p);
-  return std::clamp(k, 0, bins.num_bins - 1);
-}
 
 // Off-diagonal STILL kernel of leaf V's atom (pv, qv, rv) against the
 // sorted atom positions [ui_begin, ui_end) of leaf U. Branch-free: the
@@ -106,8 +98,8 @@ double far_block(const ChargeBins& bins, std::uint32_t u_idx,
   return sum;
 }
 
-// Kernel sum of one leaf V against the subtree rooted at U (iterative).
-// Near (exact) and far (binned) contributions accumulate separately and
+// Kernel sum of one leaf V against the whole tree (walk_epol). Near
+// (exact) and far (binned) contributions accumulate separately and
 // combine once per leaf: the batched plan executor replays the same
 // pairs through per-class passes, and this split makes the two engines'
 // reduction orders identical.
@@ -115,30 +107,19 @@ template <typename Math>
 double epol_one_leaf(const octree::Octree& tree,
                      const molecule::Molecule& mol, const ChargeBins& bins,
                      std::span<const double> born_radii, std::uint32_t vleaf,
-                     double far_mult) {
+                     EpolFarTest far) {
   const octree::Node& v_node = tree.node(vleaf);
   double sum_near = 0.0;
   double sum_far = 0.0;
-  std::uint32_t stack[256];
-  int top = 0;
-  stack[top++] = tree.root_index();
-  while (top > 0) {
-    const std::uint32_t u_idx = stack[--top];
-    const octree::Node& u_node = tree.node(u_idx);
-    if (u_node.leaf) {
-      sum_near += exact_block<Math>(tree, mol, born_radii, u_node, v_node);
-      continue;
-    }
-    const double s = (u_node.radius + v_node.radius) * far_mult;
-    const double d2 = geom::distance2(u_node.center, v_node.center);
-    if (d2 > s * s && d2 > 0.0) {
-      sum_far += far_block<Math>(bins, u_idx, vleaf, d2);
-      continue;
-    }
-    for (const auto child : u_node.children) {
-      if (child != octree::Node::kInvalid) stack[top++] = child;
-    }
-  }
+  walk_epol(
+      tree, v_node.center, v_node.radius, far,
+      [&](std::uint32_t u) {
+        sum_near +=
+            exact_block<Math>(tree, mol, born_radii, tree.node(u), v_node);
+      },
+      [&](std::uint32_t u, double d2) {
+        sum_far += far_block<Math>(bins, u, vleaf, d2);
+      });
   return sum_near + sum_far;
 }
 
@@ -146,7 +127,7 @@ template <typename Math>
 double epol_range(const octree::Octree& tree, const molecule::Molecule& mol,
                   const ChargeBins& bins,
                   std::span<const double> born_radii, std::size_t leaf_begin,
-                  std::size_t leaf_end, double far_mult,
+                  std::size_t leaf_end, EpolFarTest far,
                   parallel::WorkStealingPool* pool) {
   const auto leaves = tree.leaves();
   // Per-leaf slots summed in leaf order: bit-identical to the serial
@@ -155,21 +136,39 @@ double epol_range(const octree::Octree& tree, const molecule::Molecule& mol,
   // by ulps run-to-run (found by detlint shared-float-accum; regression
   // test DeterminismOracleTest.EpolBitIdenticalAcrossWorkerCounts).
   const auto one_leaf = [&](std::size_t i) {
-    return epol_one_leaf<Math>(tree, mol, bins, born_radii, leaves[i],
-                               far_mult);
+    return epol_one_leaf<Math>(tree, mol, bins, born_radii, leaves[i], far);
   };
-  if (pool != nullptr) {
-    double total = 0.0;
-    pool->run([&] {
-      total = parallel::deterministic_sum(pool, leaf_begin, leaf_end,
-                                          one_leaf);
-    });
-    return total;
-  }
-  return parallel::deterministic_sum(nullptr, leaf_begin, leaf_end, one_leaf);
+  return parallel::run_deterministic_sum(pool, leaf_begin, leaf_end,
+                                         one_leaf);
+}
+
+// Kernel sum of the whole tree against itself (walk_dual). The charge
+// histograms exist for every node, so far boxes may pair internal nodes
+// on both sides.
+template <typename Math>
+double dual_sum(const octree::Octree& tree, const molecule::Molecule& mol,
+                const ChargeBins& bins, std::span<const double> born_radii,
+                EpolFarTest far, parallel::WorkStealingPool* pool) {
+  return walk_dual(
+      tree, tree, far,
+      [&](std::uint32_t u, std::uint32_t v, double d2) {
+        return far_block<Math>(bins, u, v, d2);
+      },
+      [&](std::uint32_t u, std::uint32_t v) {
+        return exact_block<Math>(tree, mol, born_radii, tree.node(u),
+                                 tree.node(v));
+      },
+      pool);
 }
 
 }  // namespace
+
+int ChargeBins::bin_of(double born) const {
+  if (born <= r_min) return 0;
+  // lint:allow(narrow-cast) log-bin truncation is the binning rule itself
+  const int k = static_cast<int>(std::log(born / r_min) * inv_log1p);
+  return std::clamp(k, 0, num_bins - 1);
+}
 
 ChargeBins build_charge_bins(const octree::Octree& tree,
                              std::span<const double> charges,
@@ -214,7 +213,7 @@ ChargeBins build_charge_bins(const octree::Octree& tree,
     if (node.leaf) {
       for (std::uint32_t ai = node.begin; ai < node.end; ++ai) {
         const std::uint32_t a = index[ai];
-        row[bin_of(born_radii[a], bins)] += charges[a];
+        row[bins.bin_of(born_radii[a])] += charges[a];
       }
     } else {
       for (const auto child : node.children) {
@@ -280,14 +279,12 @@ double approx_epol(const octree::Octree& tree,
   if (tree.empty()) return 0.0;
   leaf_end = std::min(leaf_end, tree.num_leaves());
   if (leaf_begin >= leaf_end) return 0.0;
-  const double far_mult = 1.0 + 2.0 / params.eps_epol;
+  const EpolFarTest far{1.0 + 2.0 / params.eps_epol};
   return params.approx_math
              ? epol_range<util::ApproxMath>(tree, mol, bins, born_radii,
-                                            leaf_begin, leaf_end, far_mult,
-                                            pool)
+                                            leaf_begin, leaf_end, far, pool)
              : epol_range<util::ExactMath>(tree, mol, bins, born_radii,
-                                           leaf_begin, leaf_end, far_mult,
-                                           pool);
+                                           leaf_begin, leaf_end, far, pool);
 }
 
 EpolResult epol_octree(const octree::Octree& tree,
@@ -313,93 +310,11 @@ EpolResult epol_dualtree(const octree::Octree& tree,
   if (tree.empty()) return out;
   const ChargeBins bins =
       build_charge_bins(tree, mol.charges(), born_radii, params.eps_epol);
-  const double far_mult = 1.0 + 2.0 / params.eps_epol;
-
-  struct Pair {
-    std::uint32_t u, v;
-  };
-
-  auto eval_pair = [&](const Pair& pr, auto&& recurse_out) -> double {
-    const octree::Node& u_node = tree.node(pr.u);
-    const octree::Node& v_node = tree.node(pr.v);
-    const double s = (u_node.radius + v_node.radius) * far_mult;
-    const double d2 = geom::distance2(u_node.center, v_node.center);
-    // Far boxes need both sides internal-or-leaf alike; the bin
-    // histograms exist for every node, so the test is uniform.
-    if (d2 > s * s && d2 > 0.0) {
-      return params.approx_math
-                 ? far_block<util::ApproxMath>(bins, pr.u, pr.v, d2)
-                 : far_block<util::ExactMath>(bins, pr.u, pr.v, d2);
-    }
-    if (u_node.leaf && v_node.leaf) {
-      return params.approx_math
-                 ? exact_block<util::ApproxMath>(tree, mol, born_radii,
-                                                 u_node, v_node)
-                 : exact_block<util::ExactMath>(tree, mol, born_radii,
-                                                u_node, v_node);
-    }
-    const bool split_u =
-        !u_node.leaf && (v_node.leaf || u_node.radius >= v_node.radius);
-    if (split_u) {
-      for (const auto child : u_node.children) {
-        if (child != octree::Node::kInvalid) recurse_out({child, pr.v});
-      }
-    } else {
-      for (const auto child : v_node.children) {
-        if (child != octree::Node::kInvalid) recurse_out({pr.u, child});
-      }
-    }
-    return 0.0;
-  };
-
-  auto process = [&](Pair start) {
-    double sum = 0.0;
-    std::vector<Pair> stack{start};
-    while (!stack.empty()) {
-      const Pair pr = stack.back();
-      stack.pop_back();
-      sum += eval_pair(pr, [&](Pair p) { stack.push_back(p); });
-    }
-    return sum;
-  };
-
-  // Expand a frontier for parallel distribution (as in born dual-tree).
-  // Terminal pairs (far boxes / leaf-leaf blocks) encountered during
-  // expansion are evaluated immediately into expanded_sum; only pairs
-  // that still need recursion stay in the frontier.
-  std::vector<Pair> frontier{{tree.root_index(), tree.root_index()}};
-  double expanded_sum = 0.0;
-  const std::size_t expand_target = pool ? 4096 : 1;
-  while (!frontier.empty() && frontier.size() < expand_target) {
-    std::vector<Pair> next;
-    next.reserve(frontier.size() * 4);
-    bool any_expanded = false;
-    for (const Pair& pr : frontier) {
-      bool expanded = false;
-      expanded_sum += eval_pair(pr, [&](Pair p) {
-        next.push_back(p);
-        expanded = true;
-      });
-      any_expanded = any_expanded || expanded;
-    }
-    frontier = std::move(next);
-    if (!any_expanded) break;
-  }
-  std::vector<Pair> all(std::move(frontier));
-
-  double sum = expanded_sum;
-  // Fixed reduction order (ascending pair index): the pooled dual-tree
-  // energy matches the serial loop bit for bit at any worker count.
-  const auto one_pair = [&](std::size_t i) { return process(all[i]); };
-  if (pool != nullptr) {
-    double total = 0.0;
-    pool->run([&] {
-      total = parallel::deterministic_sum(pool, 0, all.size(), one_pair);
-    });
-    sum += total;
-  } else {
-    sum += parallel::deterministic_sum(nullptr, 0, all.size(), one_pair);
-  }
+  const EpolFarTest far{1.0 + 2.0 / params.eps_epol};
+  const double sum =
+      params.approx_math
+          ? dual_sum<util::ApproxMath>(tree, mol, bins, born_radii, far, pool)
+          : dual_sum<util::ExactMath>(tree, mol, bins, born_radii, far, pool);
   out.energy = -0.5 * physics.tau() * physics.coulomb_k * sum;
   return out;
 }

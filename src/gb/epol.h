@@ -14,7 +14,8 @@
 //  * otherwise recurse into U's children.
 //
 // Summing over all leaves V yields exactly the ordered double sum of
-// Eq. 2; the driver multiplies by -tau/2 * k_coulomb.
+// Eq. 2; the driver multiplies by -tau/2 * k_coulomb. The walk itself is
+// walk_epol in src/gb/traversal.h (walk_dual for epol_dualtree).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +45,9 @@ struct ChargeBins {
   std::vector<std::uint32_t> nz_offset;  // [num_nodes + 1]
   std::vector<std::uint16_t> nz_bin;
 
+  /// Bin of Born radius R: floor(log_{1+eps}(R / R_min)), clamped.
+  int bin_of(double born) const;
+
   double at(std::size_t node, int k) const {
     return q[node * static_cast<std::size_t>(num_bins) +
              static_cast<std::size_t>(k)];
@@ -61,7 +65,7 @@ ChargeBins build_charge_bins(const octree::Octree& tree,
 
 /// Exact STILL-kernel block of leaf V against leaf U (all ordered pairs,
 /// including the u == v self terms when the two leaves coincide). This
-/// is the identical code path the fused traversal runs for a near pair;
+/// is the identical code path the fused evaluator runs for a near pair;
 /// the batched plan executor's scalar engine replays plans through it so
 /// the two engines agree bit-for-bit.
 double epol_exact_block(const octree::Octree& tree,
@@ -73,7 +77,7 @@ double epol_exact_block(const octree::Octree& tree,
 /// Bin-vs-bin far-field kernel of one (U, V) node pair at center
 /// distance^2 d2: sum over non-empty bin combinations of
 /// q_U[i] q_V[j] / f_GB(R_i, R_j). This is the exact function the fused
-/// traversal evaluates inline; the batched plan executor calls it for
+/// evaluator runs inline; the batched plan executor calls it for
 /// its scalar far path so the two engines agree bit-for-bit.
 double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
                       std::uint32_t v_node, double d2, bool approx_math);
@@ -98,7 +102,8 @@ EpolResult epol_octree(const octree::Octree& tree,
 
 /// Dual-tree variant used by OCT_CILK: simultaneous traversal starting
 /// from (root, root); ordered pairs partitioned into far boxes and
-/// leaf-leaf blocks. Same result class, different traversal order.
+/// leaf-leaf blocks. Same result class, different traversal order; the
+/// energy is bit-identical at any worker count, serial included.
 EpolResult epol_dualtree(const octree::Octree& tree,
                          const molecule::Molecule& mol,
                          std::span<const double> born_radii,

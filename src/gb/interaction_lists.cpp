@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
-#include "src/geom/vec3.h"
+#include "src/gb/traversal.h"
 #include "src/telemetry/telemetry.h"
 #if defined(OCTGB_VALIDATE_BUILD)
 #include "src/analysis/validate.h"
@@ -24,64 +24,6 @@ struct LocalLists {
   std::vector<NodePair> epol_near;
   std::vector<NodePair> epol_far;
 };
-
-// Born-phase traversal for one T_Q leaf: identical control flow to
-// approx_integrals_one_leaf in born.cpp (far test first, then leaf,
-// then children pushed in declaration order), but emitting work items
-// instead of evaluating kernels.
-void plan_born_leaf(const octree::Octree& atoms_tree,
-                    const octree::Octree& q_tree, std::uint32_t qleaf,
-                    double factor2, LocalLists& out) {
-  const octree::Node& q_node = q_tree.node(qleaf);
-  std::uint32_t stack[256];
-  int top = 0;
-  stack[top++] = atoms_tree.root_index();
-  while (top > 0) {
-    const std::uint32_t a_idx = stack[--top];
-    const octree::Node& a_node = atoms_tree.node(a_idx);
-    const double s = a_node.radius + q_node.radius;
-    const double d2 = geom::distance2(a_node.center, q_node.center);
-    if (d2 > s * s * factor2 && d2 > 0.0) {
-      out.born_far.push_back({a_idx, qleaf});
-    } else if (a_node.leaf) {
-      out.born_near.push_back({a_idx, qleaf});
-    } else {
-      for (const auto child : a_node.children) {
-        if (child != octree::Node::kInvalid) stack[top++] = child;
-      }
-    }
-  }
-}
-
-// E_pol-phase traversal for one T_A leaf V: identical control flow to
-// epol_one_leaf in epol.cpp (leaf check FIRST, then the far test, then
-// children). `vleaf_ord` is V's ordinal in tree.leaves() -- the plan
-// records ordinals so the executor can keep per-leaf accumulators in a
-// flat array.
-void plan_epol_leaf(const octree::Octree& tree, std::uint32_t vleaf_ord,
-                    std::uint32_t vleaf, double far_mult, LocalLists& out) {
-  const octree::Node& v_node = tree.node(vleaf);
-  std::uint32_t stack[256];
-  int top = 0;
-  stack[top++] = tree.root_index();
-  while (top > 0) {
-    const std::uint32_t u_idx = stack[--top];
-    const octree::Node& u_node = tree.node(u_idx);
-    if (u_node.leaf) {
-      out.epol_near.push_back({vleaf_ord, u_idx});
-      continue;
-    }
-    const double s = (u_node.radius + v_node.radius) * far_mult;
-    const double d2 = geom::distance2(u_node.center, v_node.center);
-    if (d2 > s * s && d2 > 0.0) {
-      out.epol_far.push_back({vleaf_ord, u_idx});
-      continue;
-    }
-    for (const auto child : u_node.children) {
-      if (child != octree::Node::kInvalid) stack[top++] = child;
-    }
-  }
-}
 
 // Splits `items` into chunks of roughly equal estimated cost. Greedy
 // forward scan: close the current chunk once it holds >= total/target
@@ -132,8 +74,8 @@ InteractionPlan build_interaction_plan(const BornOctrees& trees,
   if (params.eps_epol <= 0.0) {
     throw std::invalid_argument("ApproxParams: eps must be > 0");
   }
-  const double factor2 = born_far_factor2(params);  // throws on bad eps_born
-  const double far_mult = 1.0 + 2.0 / params.eps_epol;
+  const BornFarTest born_far{born_far_factor2(params)};  // throws on bad eps
+  const EpolFarTest epol_far{1.0 + 2.0 / params.eps_epol};
 
   InteractionPlan plan;
   const bool have_born = !trees.atoms.empty() && !trees.qpoints.empty();
@@ -150,14 +92,24 @@ InteractionPlan build_interaction_plan(const BornOctrees& trees,
   const std::size_t total_leaves = nq + a_leaves.size();
   if (total_leaves == 0) return plan;
 
+  // The fused evaluators' walks, recording each pair instead of
+  // evaluating it. E_pol items record V's ordinal in tree.leaves() so the
+  // executor can keep per-leaf accumulators in a flat array.
   auto range_body = [&](std::size_t lo, std::size_t hi, LocalLists& out) {
     for (std::size_t i = lo; i < hi && i < nq; ++i) {
-      plan_born_leaf(trees.atoms, trees.qpoints, q_leaves[i], factor2, out);
+      const std::uint32_t q = q_leaves[i];
+      walk_born(
+          trees.atoms, trees.qpoints.node(q), born_far,
+          [&](std::uint32_t a, double) { out.born_far.push_back({a, q}); },
+          [&](std::uint32_t a) { out.born_near.push_back({a, q}); });
     }
     for (std::size_t i = std::max(lo, nq); i < hi; ++i) {
-      const std::size_t ord = i - nq;
-      plan_epol_leaf(trees.atoms, static_cast<std::uint32_t>(ord),
-                     a_leaves[ord], far_mult, out);
+      const auto v = static_cast<std::uint32_t>(i - nq);
+      const octree::Node& v_node = trees.atoms.node(a_leaves[v]);
+      walk_epol(
+          trees.atoms, v_node.center, v_node.radius, epol_far,
+          [&](std::uint32_t u) { out.epol_near.push_back({v, u}); },
+          [&](std::uint32_t u, double) { out.epol_far.push_back({v, u}); });
     }
   };
 

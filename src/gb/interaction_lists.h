@@ -1,15 +1,15 @@
 // interaction_lists.h -- phase 1 of the two-phase GB execution engine.
 //
-// The fused traversals in born.cpp / epol.cpp interleave tree walking
+// The fused evaluators in born.cpp / epol.cpp interleave tree walking
 // with kernel evaluation: every leaf/leaf or node/node interaction is
 // computed the moment the Greengard-Rokhlin criterion classifies it.
 // That keeps the working set small but leaves the hot loops scalar and
 // gather-bound -- the branchy traversal control flow sits between every
 // kernel invocation.
 //
-// This module splits the work: a cheap traversal-only pass walks the
-// same trees with the same criteria, but instead of evaluating it emits
-// compact work items into an InteractionPlan:
+// This module splits the work: the same walks (walk_born and walk_epol
+// of src/gb/traversal.h), with visitors that emit compact work items
+// into an InteractionPlan instead of evaluating:
 //
 //  * Born near pairs  (T_A leaf,  T_Q leaf)  -> exact r^6 blocks,
 //  * Born far pairs   (T_A node,  T_Q leaf)  -> monopole deposits,
@@ -18,7 +18,7 @@
 //
 // Phase 2 (src/gb/kernels_batch.h) replays the lists over SoA scratch
 // arrays with SIMD-batched kernels. Items are recorded in exactly the
-// fused traversal's visit order, so a serial scalar replay reproduces
+// fused evaluators' visit order, so a serial scalar replay reproduces
 // the fused results bit-for-bit; chunk offsets computed from a per-item
 // cost model make the lists schedulable on the work-stealing pool
 // without cutting into pathologically unbalanced pieces.
@@ -48,9 +48,9 @@ struct NodePair {
 
 /// The traversal's output: four flat lists of work items plus
 /// cost-balanced chunk offsets for scheduling. Lists are ordered
-/// exactly as the fused traversal visits the pairs (source-leaf major,
+/// exactly as the shared walks visit the pairs (source-leaf major,
 /// stack order within a leaf), which is what makes a serial replay
-/// bit-identical.
+/// bit-identical to the fused evaluators.
 struct InteractionPlan {
   /// target = T_A *leaf* node id, source = T_Q leaf node id.
   std::vector<NodePair> born_near;

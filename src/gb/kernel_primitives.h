@@ -2,10 +2,12 @@
 //
 // These inline functions are the single source of truth for the floating-
 // point expression trees of the r^6/r^4 Born integrand and the STILL f_GB
-// pair term. Both execution engines include them:
+// pair term. Every evaluator includes them:
 //
-//  * the fused traversal (src/gb/born.cpp, src/gb/epol.cpp), where the
-//    kernels run inline during the octree walk, and
+//  * the fused visitors of the src/gb/traversal.h walks (src/gb/born.cpp,
+//    src/gb/epol.cpp, the atom-division pseudo-leaves in
+//    src/runtime/drivers.cpp), where the kernels run inline during the
+//    walk, and
 //  * the batched plan executor (src/gb/kernels_batch.cpp), where the same
 //    pairs are replayed from an InteractionPlan over SoA scratch arrays.
 //
@@ -24,7 +26,7 @@ namespace octgb::gb {
 
 /// Relaxed atomic accumulation into a shared double. Bitwise identical to
 /// a plain `target += value` when only one thread touches the slot, so
-/// serial plan execution reproduces serial fused traversal exactly.
+/// serial plan execution reproduces the serial fused evaluator exactly.
 inline void kernel_atomic_add(double& target, double value) {
   // Deposits land in completion order, so the last ulp of a shared
   // slot can differ across worker counts; the bit-exact scalar replay

@@ -6,7 +6,6 @@
 #include "src/gb/kernel_primitives.h"
 #include "src/gb/kernels_batch_simd.h"
 #include "src/telemetry/telemetry.h"
-#include "src/util/env.h"
 #include "src/util/fastmath.h"
 
 namespace octgb::gb {
@@ -121,13 +120,7 @@ bool simd_available() {
   return ok;
 }
 
-bool simd_enabled() {
-  return simd_available() && !util::env_flag("OCTGB_NO_SIMD");
-}
-
-bool use_batched_engine() {
-  return !util::env_flag("OCTGB_FUSED_TRAVERSAL");
-}
+bool simd_enabled() { return simd_available(); }
 
 BornSoA build_born_soa(const BornOctrees& trees,
                        const molecule::Molecule& mol,
@@ -477,7 +470,7 @@ EpolResult epol_batched(const octree::Octree& tree,
                  const NodePair p = plan.epol_far[i];
                  const octree::Node& u_node = tree.node(p.source);
                  const octree::Node& v_node = tree.node(leaves[p.target]);
-                 // Same distance expression the traversal classified
+                 // Same distance expression the walk classified
                  // with, so the kernel value matches the fused path's.
                  const double d2 =
                      geom::distance2(u_node.center, v_node.center);

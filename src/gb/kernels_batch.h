@@ -4,9 +4,10 @@
 // re-traversing the octrees. Two engines share the plan:
 //
 //  * scalar: replays every work item through the *exported fused-engine
-//    blocks* (born_exact_leaf_pair, epol_exact_block, epol_far_block),
-//    so a serial replay is bit-for-bit identical to the fused traversal
-//    -- same expression trees, same summation order;
+//    blocks* (born_exact_leaf_pair, born_far_deposit, epol_exact_block,
+//    epol_far_block), so a serial replay is bit-for-bit identical to the
+//    fused evaluators (born_radii_octree, epol_octree) -- same walk
+//    (src/gb/traversal.h), same expression trees, same summation order;
 //  * SIMD: gathers atoms / q-points once into structure-of-arrays
 //    scratch permuted to Morton order (tree.point_index()), then runs
 //    4-wide AVX2+FMA row kernels over the contiguous leaf ranges. The
@@ -17,9 +18,14 @@
 //
 // Engine selection is runtime: the AVX2 code is compiled into its own
 // TU with -mavx2 -mfma (CMake option OCTGB_SIMD, default ON) and only
-// entered when the CPU reports AVX2+FMA and OCTGB_NO_SIMD is not set.
-// SimdMode::kForceScalar pins the scalar engine regardless, which is
-// what the golden tests and the A/B benches use.
+// entered when the CPU reports AVX2+FMA. SimdMode::kForceScalar pins the
+// scalar engine regardless, which is what the golden tests and the A/B
+// benches use.
+//
+// Which engine a request runs is the caller's choice, not a switch: the
+// calculator's single-tree r^6 path and the serving layer replay a plan
+// (cached per structure, SIMD); src/runtime, r^4, dual-tree and docking
+// evaluate fused and hold no plan.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +45,7 @@ namespace octgb::gb {
 
 /// Engine choice for the plan executors.
 enum class SimdMode {
-  kAuto,         // SIMD when compiled in, CPU-supported and not disabled
+  kAuto,         // SIMD when compiled in and CPU-supported
   kForceScalar,  // bit-exact fused-equivalent replay
 };
 
@@ -49,17 +55,8 @@ bool simd_compiled();
 /// True when simd_compiled() and this CPU reports AVX2 and FMA.
 bool simd_available();
 
-/// What kAuto resolves to right now: simd_available() and the
-/// OCTGB_NO_SIMD environment flag is not set.
+/// What kAuto resolves to: simd_available().
 bool simd_enabled();
-
-/// True unless the OCTGB_FUSED_TRAVERSAL environment flag is set. The
-/// calculator and the serving layer consult this to pick between the
-/// two-phase engine (default) and the original fused traversal, which
-/// is kept as a reference path; the batched engine only ever applies to
-/// the single-tree r^6 pipeline either way (r^4 and dual-tree stay
-/// fused).
-bool use_batched_engine();
 
 /// SoA scratch for the Born phase: atom centers in T_A Morton order and
 /// q-point data in T_Q Morton order, so every leaf's data is one
@@ -120,7 +117,8 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
 
 /// Plan-driven E_pol: replays plan.epol_near / plan.epol_far into
 /// per-leaf accumulators (one near, one far -- the same two-accumulator
-/// split the fused epol_one_leaf uses) and reduces them in leaf order.
+/// split the fused epol_octree keeps per leaf) and reduces them in leaf
+/// order.
 EpolResult epol_batched(const octree::Octree& tree,
                         const molecule::Molecule& mol,
                         std::span<const double> born_radii,

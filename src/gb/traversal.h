@@ -1,0 +1,164 @@
+// traversal.h -- the three octree walks of the GB pipeline.
+//
+// Every engine that needs to know which node pairs interact walks the
+// trees through one of these templates; what happens to each pair is a
+// visitor (a lambda, inlined like a hand-written loop):
+//
+//  * walk_born: APPROX-INTEGRALS (Figure 2). One T_Q leaf against T_A
+//    from the root: far test first, then leaf, then the children.
+//    Visitors: the fused r^6/r^4 integrals, the docking cross-tree
+//    integrals and the interaction-plan builder.
+//  * walk_epol: APPROX-EPOL (Figure 3). One target V, given as a bounding
+//    sphere, against T_A from the root: leaf first (leaves are always
+//    exact), then the far test, then the children. Visitors: the fused
+//    E_pol, the plan builder and the atom-division pseudo-leaves.
+//  * walk_dual: the simultaneous two-tree traversal of the prior
+//    shared-memory work [Chowdhury & Bajaj 2010] used by OCT_CILK, for
+//    both phases.
+//
+// The walks fix the visit order, and with it the summation order of
+// every accumulator a visitor feeds, so all engines that share a walk
+// see the pairs in the same sequence.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "src/geom/vec3.h"
+#include "src/octree/octree.h"
+#include "src/parallel/det_reduce.h"
+#include "src/parallel/pool.h"
+
+namespace octgb::gb {
+
+/// Born far test: far iff d^2 > (r_A + r_Q)^2 * factor2, with factor2
+/// from born_far_factor2().
+struct BornFarTest {
+  double factor2;
+  bool operator()(double radius_sum, double d2) const {
+    return d2 > radius_sum * radius_sum * factor2 && d2 > 0.0;
+  }
+};
+
+/// E_pol far test: far iff d^2 > ((r_U + r_V) * (1 + 2/eps))^2. The two
+/// tests round differently, so each phase keeps its own expression.
+struct EpolFarTest {
+  double far_mult;
+  bool operator()(double radius_sum, double d2) const {
+    const double s = radius_sum * far_mult;
+    return d2 > s * s && d2 > 0.0;
+  }
+};
+
+// Explicit-stack capacity of the single-tree walks: >= 7 * max_depth + 8
+// entries. Explicit rather than recursive because leaf tasks run on
+// scheduler worker stacks shared with deep spawn trees.
+inline constexpr int kWalkStack = 256;
+
+/// Born single-tree walk of T_Q node `q` against `atoms`:
+/// on_far(a, d2) for far nodes, on_near(a) for near leaves.
+template <typename OnFar, typename OnNear>
+void walk_born(const octree::Octree& atoms, const octree::Node& q,
+               BornFarTest far, OnFar&& on_far, OnNear&& on_near) {
+  std::uint32_t stack[kWalkStack];
+  int top = 0;
+  stack[top++] = atoms.root_index();
+  while (top > 0) {
+    const std::uint32_t a = stack[--top];
+    const octree::Node& node = atoms.node(a);
+    const double d2 = geom::distance2(node.center, q.center);
+    if (far(node.radius + q.radius, d2)) {
+      on_far(a, d2);
+    } else if (node.leaf) {
+      on_near(a);
+    } else {
+      for (const auto child : node.children) stack[top++] = child;
+    }
+  }
+}
+
+/// E_pol single-tree walk of the sphere (v_center, v_radius) against
+/// `tree`: on_near(u) for every leaf reached, on_far(u, d2) for far
+/// internal nodes.
+template <typename OnNear, typename OnFar>
+void walk_epol(const octree::Octree& tree, const geom::Vec3& v_center,
+               double v_radius, EpolFarTest far, OnNear&& on_near,
+               OnFar&& on_far) {
+  std::uint32_t stack[kWalkStack];
+  int top = 0;
+  stack[top++] = tree.root_index();
+  while (top > 0) {
+    const std::uint32_t u = stack[--top];
+    const octree::Node& node = tree.node(u);
+    if (node.leaf) {
+      on_near(u);
+      continue;
+    }
+    const double d2 = geom::distance2(node.center, v_center);
+    if (far(node.radius + v_radius, d2)) {
+      on_far(u, d2);
+      continue;
+    }
+    for (const auto child : node.children) stack[top++] = child;
+  }
+}
+
+/// Dual-tree walk from (root_a, root_b). A pair is terminal when far
+/// (on_far(a, b, d2)) or when both nodes are leaves (on_near(a, b));
+/// otherwise the non-leaf side splits, the larger radius when both are
+/// internal. Visitors return a term; the walk returns their sum.
+///
+/// Breadth-first expansion to ~kFrontier pairs (evaluating terminal
+/// pairs met on the way), then a depth-first walk per frontier pair as
+/// one task each. The expansion does not depend on `pool`, and the
+/// per-pair sums reduce in frontier order, so the sum is bit-identical
+/// at any worker count, serial included.
+template <typename Far, typename OnFar, typename OnNear>
+double walk_dual(const octree::Octree& ta, const octree::Octree& tb,
+                 Far far, OnFar&& on_far, OnNear&& on_near,
+                 parallel::WorkStealingPool* pool) {
+  constexpr std::size_t kFrontier = 4096;
+  using Pair = std::pair<std::uint32_t, std::uint32_t>;
+
+  auto step = [&](Pair pr, auto&& push) -> double {
+    const octree::Node& a = ta.node(pr.first);
+    const octree::Node& b = tb.node(pr.second);
+    const double d2 = geom::distance2(a.center, b.center);
+    if (far(a.radius + b.radius, d2)) return on_far(pr.first, pr.second, d2);
+    if (a.leaf && b.leaf) return on_near(pr.first, pr.second);
+    if (!a.leaf && (b.leaf || a.radius >= b.radius)) {
+      for (const auto child : a.children) push(Pair{child, pr.second});
+    } else {
+      for (const auto child : b.children) push(Pair{pr.first, child});
+    }
+    return 0.0;
+  };
+
+  std::vector<Pair> frontier{{ta.root_index(), tb.root_index()}};
+  double expanded_sum = 0.0;
+  while (!frontier.empty() && frontier.size() < kFrontier) {
+    std::vector<Pair> next;
+    next.reserve(frontier.size() * 4);
+    for (const Pair& pr : frontier) {
+      expanded_sum += step(pr, [&](Pair p) { next.push_back(p); });
+    }
+    frontier = std::move(next);
+  }
+
+  const auto subtree = [&](std::size_t i) {
+    double sum = 0.0;
+    std::vector<Pair> stack{frontier[i]};
+    while (!stack.empty()) {
+      const Pair pr = stack.back();
+      stack.pop_back();
+      sum += step(pr, [&](Pair p) { stack.push_back(p); });
+    }
+    return sum;
+  };
+  return expanded_sum +
+         parallel::run_deterministic_sum(pool, 0, frontier.size(), subtree);
+}
+
+}  // namespace octgb::gb

@@ -56,4 +56,16 @@ double deterministic_sum(WorkStealingPool* pool, std::size_t begin,
   return total;
 }
 
+/// deterministic_sum as a complete parallel region: enters pool->run()
+/// itself (the plain serial loop without a pool), for callers that are
+/// not already running on the pool.
+template <typename Body>
+double run_deterministic_sum(WorkStealingPool* pool, std::size_t begin,
+                             std::size_t end, Body&& body) {
+  if (pool == nullptr) return deterministic_sum(nullptr, begin, end, body);
+  double total = 0.0;
+  pool->run([&] { total = deterministic_sum(pool, begin, end, body); });
+  return total;
+}
+
 }  // namespace octgb::parallel

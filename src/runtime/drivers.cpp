@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <optional>
 
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
-#include "src/gb/naive.h"
+#include "src/gb/kernel_primitives.h"
+#include "src/gb/traversal.h"
 #include "src/parallel/det_reduce.h"
 #include "src/runtime/partition.h"
 #include "src/telemetry/telemetry.h"
@@ -182,27 +182,8 @@ DriverResult run_distributed(const molecule::Molecule& mol,
       local_trees->atoms = shared_trees->atoms;  // replicated (small)
       local_trees->qpoints = octree::Octree(local_surf->points,
                                             config.params.octree, pool_ptr);
-      // ñ_Q aggregates for the private q-tree.
-      local_trees->q_weighted_normal.assign(
-          local_trees->qpoints.num_nodes(), geom::Vec3{});
-      const auto q_index = local_trees->qpoints.point_index();
-      for (std::size_t i = local_trees->qpoints.num_nodes(); i-- > 0;) {
-        const octree::Node& node = local_trees->qpoints.node(i);
-        geom::Vec3 sum;
-        if (node.leaf) {
-          for (std::uint32_t qi = node.begin; qi < node.end; ++qi) {
-            const std::uint32_t q = q_index[qi];
-            sum += local_surf->normals[q] * local_surf->weights[q];
-          }
-        } else {
-          for (const auto child : node.children) {
-            if (child != octree::Node::kInvalid) {
-              sum += local_trees->q_weighted_normal[child];
-            }
-          }
-        }
-        local_trees->q_weighted_normal[i] = sum;
-      }
+      local_trees->q_weighted_normal =
+          gb::q_weighted_normals(local_trees->qpoints, *local_surf, pool_ptr);
       t.tree = timer.seconds();
     } else if (config.replicate_data) {
       util::WallTimer timer;
@@ -404,6 +385,77 @@ double approx_epol_dynamic(simmpi::Comm& comm, const octree::Octree& tree,
   return sum;
 }
 
+namespace {
+
+// E_pol kernel sum of one pseudo-leaf, sorted atom positions
+// [begin, end), against the whole tree.
+template <typename Math>
+double pseudo_leaf_sum(const octree::Octree& tree,
+                       const molecule::Molecule& mol,
+                       const gb::ChargeBins& bins,
+                       std::span<const double> born_radii, std::size_t begin,
+                       std::size_t end, gb::EpolFarTest far) {
+  const auto index = tree.point_index();
+  const auto positions = mol.positions();
+  const auto charges = mol.charges();
+  // Recompute the pseudo-leaf's center, radius and charge bins from
+  // its sub-range: this is what makes the approximation depend on the
+  // division boundaries (the error-vs-P effect of Section IV-A).
+  geom::Vec3 center;
+  for (std::size_t ai = begin; ai < end; ++ai) {
+    center += positions[index[ai]];
+  }
+  center /= static_cast<double>(end - begin);
+  double rad2 = 0.0;
+  std::vector<double> vrow(static_cast<std::size_t>(bins.num_bins), 0.0);
+  for (std::size_t ai = begin; ai < end; ++ai) {
+    const auto a = index[ai];
+    rad2 = std::max(rad2, geom::distance2(center, positions[a]));
+    vrow[static_cast<std::size_t>(bins.bin_of(born_radii[a]))] += charges[a];
+  }
+
+  double sum = 0.0;
+  gb::walk_epol(
+      tree, center, std::sqrt(rad2), far,
+      [&](std::uint32_t u_idx) {
+        // Exact ordered pairs (u anywhere in leaf U, v in pseudo-range).
+        const auto& u_node = tree.node(u_idx);
+        for (std::size_t vi = begin; vi < end; ++vi) {
+          const auto v = index[vi];
+          const geom::Vec3 pv = positions[v];
+          const double qv = charges[v];
+          const double rv = born_radii[v];
+          for (std::uint32_t ui = u_node.begin; ui < u_node.end; ++ui) {
+            const auto u = index[ui];
+            sum += u == v ? gb::fgb_self_term(qv, rv)
+                          : gb::fgb_term<Math>(
+                                charges[u], qv,
+                                geom::distance2(positions[u], pv),
+                                born_radii[u] * rv);
+          }
+        }
+      },
+      [&](std::uint32_t u_idx, double d2) {
+        // U's non-empty bins (CSR, ascending) against the pseudo-leaf's.
+        for (std::uint32_t k = bins.nz_offset[u_idx];
+             k < bins.nz_offset[u_idx + 1]; ++k) {
+          const int i = bins.nz_bin[k];
+          const double qu = bins.at(u_idx, i);
+          for (int j = 0; j < bins.num_bins; ++j) {
+            const double qvb = vrow[static_cast<std::size_t>(j)];
+            if (qvb == 0.0) continue;  // lint:allow(float-eq) empty charge bin, stored exact
+            const double rr =
+                bins.bin_radius[static_cast<std::size_t>(i)] *
+                bins.bin_radius[static_cast<std::size_t>(j)];
+            sum += gb::fgb_term<Math>(qu, qvb, d2, rr);
+          }
+        }
+      });
+  return sum;
+}
+
+}  // namespace
+
 double approx_epol_atom_division(const octree::Octree& tree,
                                  const molecule::Molecule& mol,
                                  const gb::ChargeBins& bins,
@@ -414,112 +466,28 @@ double approx_epol_atom_division(const octree::Octree& tree,
                                  parallel::WorkStealingPool* pool) {
   if (tree.empty() || atom_begin >= atom_end) return 0.0;
   atom_end = std::min(atom_end, tree.num_points());
-  const double far_mult = 1.0 + 2.0 / params.eps_epol;
-  const auto index = tree.point_index();
-  const auto positions = mol.positions();
-  const auto charges = mol.charges();
+  const gb::EpolFarTest far{1.0 + 2.0 / params.eps_epol};
 
   // Pseudo-leaves: intersect each octree leaf with [atom_begin, atom_end).
-  struct PseudoLeaf {
-    std::size_t begin, end;  // sorted atom positions
-  };
-  std::vector<PseudoLeaf> pseudo;
+  std::vector<std::pair<std::size_t, std::size_t>> pseudo;
   for (const auto leaf_idx : tree.leaves()) {
     const auto& leaf = tree.node(leaf_idx);
     const std::size_t lo = std::max<std::size_t>(leaf.begin, atom_begin);
     const std::size_t hi = std::min<std::size_t>(leaf.end, atom_end);
-    if (lo < hi) pseudo.push_back({lo, hi});
+    if (lo < hi) pseudo.emplace_back(lo, hi);
   }
 
-  auto one_pseudo = [&](const PseudoLeaf& pl) {
-    // Recompute the pseudo-leaf's center, radius and charge bins from
-    // its sub-range: this is what makes the approximation depend on the
-    // division boundaries (the error-vs-P effect of Section IV-A).
-    geom::Vec3 center;
-    for (std::size_t ai = pl.begin; ai < pl.end; ++ai) {
-      center += positions[index[ai]];
-    }
-    center /= static_cast<double>(pl.end - pl.begin);
-    double rad2 = 0.0;
-    std::vector<double> vrow(static_cast<std::size_t>(bins.num_bins), 0.0);
-    for (std::size_t ai = pl.begin; ai < pl.end; ++ai) {
-      const auto a = index[ai];
-      rad2 = std::max(rad2, geom::distance2(center, positions[a]));
-      int k = 0;
-      if (born_radii[a] > bins.r_min) {
-        k = std::clamp(static_cast<int>(std::log(born_radii[a] /
-                                                 bins.r_min) *
-                                        bins.inv_log1p),
-                       0, bins.num_bins - 1);
-      }
-      vrow[static_cast<std::size_t>(k)] += charges[a];
-    }
-    const double v_radius = std::sqrt(rad2);
-
-    double sum = 0.0;
-    std::uint32_t stack[256];
-    int top = 0;
-    stack[top++] = tree.root_index();
-    while (top > 0) {
-      const std::uint32_t u_idx = stack[--top];
-      const auto& u_node = tree.node(u_idx);
-      if (u_node.leaf) {
-        // Exact ordered pairs (u anywhere in leaf U, v in pseudo-range).
-        for (std::size_t vi = pl.begin; vi < pl.end; ++vi) {
-          const auto v = index[vi];
-          const geom::Vec3 pv = positions[v];
-          const double qv = charges[v];
-          const double rv = born_radii[v];
-          for (std::uint32_t ui = u_node.begin; ui < u_node.end; ++ui) {
-            const auto u = index[ui];
-            if (u == v) {
-              sum += qv * qv / rv;
-              continue;
-            }
-            const double r2 = geom::distance2(positions[u], pv);
-            const double rr = born_radii[u] * rv;
-            const double f2 = r2 + rr * std::exp(-r2 / (4.0 * rr));
-            sum += charges[u] * qv / std::sqrt(f2);
-          }
-        }
-        continue;
-      }
-      const double s = (u_node.radius + v_radius) * far_mult;
-      const double d2 = geom::distance2(u_node.center, center);
-      if (d2 > s * s && d2 > 0.0) {
-        for (int i = 0; i < bins.num_bins; ++i) {
-          const double qu = bins.at(u_idx, i);
-          if (qu == 0.0) continue;  // lint:allow(float-eq) empty charge bin, stored exact
-          for (int j = 0; j < bins.num_bins; ++j) {
-            const double qvb = vrow[static_cast<std::size_t>(j)];
-            if (qvb == 0.0) continue;  // lint:allow(float-eq) empty charge bin, stored exact
-            const double rr =
-                bins.bin_radius[static_cast<std::size_t>(i)] *
-                bins.bin_radius[static_cast<std::size_t>(j)];
-            const double f2 = d2 + rr * std::exp(-d2 / (4.0 * rr));
-            sum += qu * qvb / std::sqrt(f2);
-          }
-        }
-        continue;
-      }
-      for (const auto child : u_node.children) {
-        if (child != octree::Node::kInvalid) stack[top++] = child;
-      }
-    }
-    return sum;
+  const auto one = [&](std::size_t i) {
+    const auto [lo, hi] = pseudo[i];
+    return params.approx_math
+               ? pseudo_leaf_sum<util::ApproxMath>(tree, mol, bins,
+                                                   born_radii, lo, hi, far)
+               : pseudo_leaf_sum<util::ExactMath>(tree, mol, bins,
+                                                  born_radii, lo, hi, far);
   };
-
   // Fixed reduction order (ascending pseudo-leaf index): bit-identical
   // to the serial loop at any worker count (see det_reduce.h).
-  const auto one = [&](std::size_t i) { return one_pseudo(pseudo[i]); };
-  if (pool != nullptr) {
-    double total = 0.0;
-    pool->run([&] {
-      total = parallel::deterministic_sum(pool, 0, pseudo.size(), one);
-    });
-    return total;
-  }
-  return parallel::deterministic_sum(nullptr, 0, pseudo.size(), one);
+  return parallel::run_deterministic_sum(pool, 0, pseudo.size(), one);
 }
 
 }  // namespace octgb::runtime

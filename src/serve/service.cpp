@@ -479,13 +479,11 @@ Response PolarizationService::compute_one(const Request& req,
   stage.restart();
   gb::BornRadiiResult born;
   gb::EpolResult epol;
-  const bool batched = params.kernel == gb::BornKernel::kSurfaceR6 &&
-                       gb::use_batched_engine();
-  if (batched) {
-    // Two-phase engine, mirroring compute_gb_energy's batched path so
-    // kExact energies stay bit-identical to the one-shot driver. The
-    // plan depends only on tree geometry and epsilons, so a refit
-    // request inherits the base entry's plan and skips the traversal
+  if (params.kernel == gb::BornKernel::kSurfaceR6) {
+    // Two-phase engine, mirroring compute_gb_energy's single-tree r^6
+    // path so kExact energies stay bit-identical to the one-shot driver.
+    // The plan depends only on tree geometry and epsilons, so a refit
+    // request inherits the base entry's plan and skips the walk
     // outright -- the kernels are the only per-conformation work left.
     if (base && base->plan && !refit_rebuilt) {
       entry->plan = base->plan;
@@ -504,12 +502,8 @@ Response PolarizationService::compute_one(const Request& req,
                             pool);
   } else {
     OCTGB_TRACE_SCOPE("serve/kernels");
-    born = params.kernel == gb::BornKernel::kSurfaceR4
-               ? gb::born_radii_octree_r4(entry->trees, req.mol,
-                                          *entry->surf, params.approx,
-                                          pool)
-               : gb::born_radii_octree(entry->trees, req.mol, *entry->surf,
-                                       params.approx, pool);
+    born = gb::born_radii_octree_r4(entry->trees, req.mol, *entry->surf,
+                                    params.approx, pool);
     epol = gb::epol_octree(entry->trees.atoms, req.mol, born.radii,
                            params.approx, params.physics, pool);
   }

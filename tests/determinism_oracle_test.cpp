@@ -18,7 +18,9 @@
 
 #include <bit>
 #include <cstdlib>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/digest.h"
@@ -215,17 +217,27 @@ TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
   const auto points = positions_of(mol);
   const octree::Octree tree(points, oct, nullptr);
 
-  const double serial =
-      gb::epol_octree(tree, mol, born.radii, approx, {}, nullptr).energy;
-  const std::uint64_t want = std::bit_cast<std::uint64_t>(serial);
-  for (const int workers : kWorkerCounts) {
-    parallel::WorkStealingPool pool(workers);
-    for (int rep = 0; rep < 3; ++rep) {
-      const double pooled =
-          gb::epol_octree(tree, mol, born.radii, approx, {}, &pool).energy;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled), want)
-          << "workers=" << workers << " rep=" << rep
-          << " serial=" << serial << " pooled=" << pooled;
+  using EpolFn = gb::EpolResult (*)(
+      const octree::Octree&, const molecule::Molecule&,
+      std::span<const double>, const gb::ApproxParams&, const gb::Physics&,
+      parallel::WorkStealingPool*);
+  const std::pair<const char*, EpolFn> engines[] = {
+      {"epol_octree", &gb::epol_octree},
+      {"epol_dualtree", &gb::epol_dualtree},
+  };
+  for (const auto& [name, epol] : engines) {
+    const double serial = epol(tree, mol, born.radii, approx, {}, nullptr)
+                              .energy;
+    const std::uint64_t want = std::bit_cast<std::uint64_t>(serial);
+    for (const int workers : kWorkerCounts) {
+      parallel::WorkStealingPool pool(workers);
+      for (int rep = 0; rep < 3; ++rep) {
+        const double pooled =
+            epol(tree, mol, born.radii, approx, {}, &pool).energy;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled), want)
+            << name << " workers=" << workers << " rep=" << rep
+            << " serial=" << serial << " pooled=" << pooled;
+      }
     }
   }
 }

@@ -176,6 +176,27 @@ TEST(WorkDivisionTest, AtomDivisionSegmentsSumToWhole) {
   EXPECT_NEAR(pieces, whole, 5e-3 * std::abs(whole));
 }
 
+TEST(WorkDivisionTest, AtomDivisionHonorsApproxMath) {
+  // The pseudo-leaf kernels follow ApproxParams::approx_math like every
+  // other E_pol path: fast math moves the sum, but only within the
+  // fast-math accuracy class.
+  const auto mol = molecule::generate_protein(500, 147);
+  const auto surf = surface::build_surface(mol);
+  const auto trees = gb::build_born_octrees(mol, surf);
+  const auto born = gb::born_radii_naive_r6(mol, surf);
+  gb::ApproxParams params;
+  const auto bins = gb::build_charge_bins(trees.atoms, mol.charges(),
+                                          born.radii, params.eps_epol);
+  params.approx_math = true;
+  const double fast = approx_epol_atom_division(
+      trees.atoms, mol, bins, born.radii, 0, mol.size(), params);
+  params.approx_math = false;
+  const double exact = approx_epol_atom_division(
+      trees.atoms, mol, bins, born.radii, 0, mol.size(), params);
+  EXPECT_NE(fast, exact);
+  EXPECT_NEAR(fast, exact, 5e-3 * std::abs(exact));
+}
+
 TEST(WorkDivisionTest, DynamicChunksMatchStaticExactly) {
   // Master-worker self-scheduling hands out whole leaves, so the energy
   // is bit-identical to the static node division for any P.

@@ -311,9 +311,6 @@ TEST(ServeTest, RefitReusesCachedInteractionPlan) {
   // With the two-phase engine, a refit request inherits the base
   // entry's interaction plan and runs zero traversal; the counter in
   // ServiceStats proves the reuse actually happened.
-  if (!gb::use_batched_engine()) {
-    GTEST_SKIP() << "OCTGB_FUSED_TRAVERSAL set: no plans to reuse";
-  }
   const auto mol = molecule::generate_protein(400, 31);
   serve::PolarizationService svc(test_config());
   const auto cold = svc.serve_now(make_request(1, mol));
@@ -374,16 +371,14 @@ TEST(ServeTest, RekeyRefitRebuildsWhenKeysEscape) {
   const gb::GBResult rebuild = gb::compute_gb_energy(moved);
   EXPECT_LT(gb::relative_error(resp.energy, rebuild.energy), 0.15);
 
-  if (gb::use_batched_engine()) {
-    // Tiny drift against the rebuilt entry stays inside every leaf
-    // octant: no fallback this time, and its (fresh) plan is reused.
-    const auto fallbacks_before = svc.cache_stats().refit_fallbacks;
-    const auto small = svc.serve_now(
-        make_request(3, jittered(moved, 1e-4, 35)));
-    ASSERT_EQ(small.path, serve::Path::kRefit);
-    EXPECT_TRUE(small.plan_reused);
-    EXPECT_EQ(svc.cache_stats().refit_fallbacks, fallbacks_before);
-  }
+  // Tiny drift against the rebuilt entry stays inside every leaf
+  // octant: no fallback this time, and its (fresh) plan is reused.
+  const auto fallbacks_before = svc.cache_stats().refit_fallbacks;
+  const auto small = svc.serve_now(
+      make_request(3, jittered(moved, 1e-4, 35)));
+  ASSERT_EQ(small.path, serve::Path::kRefit);
+  EXPECT_TRUE(small.plan_reused);
+  EXPECT_EQ(svc.cache_stats().refit_fallbacks, fallbacks_before);
 }
 
 TEST(ServeTest, RefitDisabledForcesColdBuilds) {
