@@ -165,6 +165,21 @@ std::uint64_t probe_tree_refit(int workers) {
   return digest_tree(tree);
 }
 
+std::uint64_t probe_surface(int workers) {
+  World& w = world();
+  parallel::WorkStealingPool pool(workers == 0 ? 1 : workers);
+  const surface::QuadratureSurface surf =
+      surface::build_surface(w.mol, {}, maybe_pool(workers, pool));
+  Digest d;
+  d.u64(surf.size());
+  for (std::size_t q = 0; q < surf.size(); ++q) {
+    d.f64(surf.points[q].x).f64(surf.points[q].y).f64(surf.points[q].z);
+    d.f64(surf.normals[q].x).f64(surf.normals[q].y).f64(surf.normals[q].z);
+    d.f64(surf.weights[q]);
+  }
+  return d.value();
+}
+
 std::uint64_t probe_plan(int workers) {
   World& w = world();
   parallel::WorkStealingPool pool(workers == 0 ? 1 : workers);
@@ -224,6 +239,7 @@ std::uint64_t probe_shard_sim(int workers) {
 constexpr Probe kProbes[] = {
     {"octree_build", probe_tree_build},
     {"octree_refit_rekey", probe_tree_refit},
+    {"surface_qpoints", probe_surface},
     {"interaction_plan", probe_plan},
     {"epol_energy", probe_epol},
     {"load_sim", probe_load_sim},

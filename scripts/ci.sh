@@ -92,7 +92,8 @@ run_tier1() {
 
 run_asan() {
   local FAST_TESTS=(geom_test molecule_test octree_test util_test
-    parallel_test serve_test range_query_test celllist_misc_test)
+    parallel_test serve_test range_query_test celllist_misc_test
+    surface_test determinism_oracle_test)
   echo "==> sanitizer: ASan+UBSan build of fast tests"
   cmake -B build-asan -S . -DOCTGB_SANITIZE=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -151,10 +152,13 @@ run_detlint() {
 
 run_tsan() {
   # The suites that exercise shared mutable state: the work-stealing
-  # pool, the serving layer, the race stress battery, and the simmpi
-  # rank threads. The numeric kernels are data-parallel over disjoint
-  # ranges and add nothing but wall time here.
-  local TSAN_TESTS=(parallel_test serve_test race_stress_test simmpi_test)
+  # pool, the serving layer, the race stress battery, the simmpi rank
+  # threads, and the pooled surface stages (each element writes only its
+  # own slot; the mesh is shared between them). The numeric kernels are
+  # data-parallel over disjoint ranges and add nothing but wall time
+  # here.
+  local TSAN_TESTS=(parallel_test serve_test race_stress_test simmpi_test
+    surface_test)
   echo "==> tsan: ThreadSanitizer build of concurrency tests"
   cmake -B build-tsan -S . -DOCTGB_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

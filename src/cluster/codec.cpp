@@ -257,6 +257,9 @@ class Reader {
     if (n > remaining()) {
       fail(CodecError::Kind::kTruncated, "read past end of payload");
     }
+    // An empty payload or an empty destination may be a null pointer,
+    // and memcpy from or to null is undefined even for zero bytes.
+    if (n == 0) return;
     std::memcpy(out, bytes_.data() + cursor_, n);
     cursor_ += n;
   }

@@ -49,13 +49,13 @@ PoseScorer::PoseScorer(molecule::Molecule receptor,
       pool_(pool),
       receptor_(std::move(receptor)),
       ligand_(std::move(ligand)) {
-  receptor_surf_ = surface::build_surface(receptor_, params_.surface);
-  ligand_surf_ = surface::build_surface(ligand_, params_.surface);
+  receptor_surf_ = surface::build_surface(receptor_, params_.surface, pool_);
+  ligand_surf_ = surface::build_surface(ligand_, params_.surface, pool_);
 
-  receptor_cache_.trees =
-      gb::build_born_octrees(receptor_, receptor_surf_, params_.octree);
+  receptor_cache_.trees = gb::build_born_octrees(receptor_, receptor_surf_,
+                                                 params_.octree, pool_);
   ligand_cache_.trees =
-      gb::build_born_octrees(ligand_, ligand_surf_, params_.octree);
+      gb::build_born_octrees(ligand_, ligand_surf_, params_.octree, pool_);
 
   receptor_cache_.self_sums = self_integral_sums(
       receptor_cache_.trees, receptor_, receptor_surf_, params_.approx,

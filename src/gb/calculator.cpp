@@ -20,7 +20,7 @@ GBResult compute_gb_energy(const molecule::Molecule& mol,
   // Phase spans mirror the t_* timer fields; IIFEs keep the const locals.
   const surface::QuadratureSurface surf = [&] {
     OCTGB_TRACE_SCOPE("calc/surface");
-    return surface::build_surface(mol, params.surface);
+    return surface::build_surface(mol, params.surface, pool);
   }();
   result.num_qpoints = surf.size();
   result.t_surface = timer.seconds();

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 
 #include "src/analysis/contracts.h"
@@ -22,6 +21,8 @@
 namespace octgb::octree {
 
 namespace {
+
+using parallel::for_range;
 
 /// Fixed chunk width for deterministic centroid sums. Partial sums are
 /// always taken over [c*kAggChunk, (c+1)*kAggChunk) of the *sorted*
@@ -58,19 +59,6 @@ geom::Vec3 node_sum(std::span<const geom::Vec3> points,
   for (std::size_t c = cb; c < ce; ++c) s += chunk_sums[c];
   s += ranged_sum(points, point_index, ce * kAggChunk, e);
   return s;
-}
-
-/// parallel_for when a pool is supplied and the range is worth it;
-/// plain serial call otherwise. Both paths invoke the same body over
-/// the same index space.
-void for_range(parallel::WorkStealingPool* pool, std::size_t begin,
-               std::size_t end, std::size_t grain,
-               const std::function<void(std::size_t, std::size_t)>& body) {
-  if (pool != nullptr && end - begin > grain) {
-    pool->run([&] { parallel::parallel_for(*pool, begin, end, grain, body); });
-  } else {
-    body(begin, end);
-  }
 }
 
 }  // namespace

@@ -240,6 +240,16 @@ void parallel_for(WorkStealingPool& pool, std::size_t begin, std::size_t end,
   rec(begin, end);
 }
 
+void for_range(WorkStealingPool* pool, std::size_t begin, std::size_t end,
+               std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr && end - begin > grain) {
+    pool->run([&] { parallel_for(*pool, begin, end, grain, body); });
+  } else {
+    body(begin, end);
+  }
+}
+
 void parallel_invoke(WorkStealingPool& pool, std::function<void()> a,
                      std::function<void()> b) {
   TaskGroup tg(pool);

@@ -138,6 +138,15 @@ void parallel_for(WorkStealingPool& pool, std::size_t begin, std::size_t end,
                   std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
+/// A complete parallel region over [begin, end): parallel_for inside
+/// pool->run when a pool is supplied and the range is longer than
+/// `grain`, one serial body(begin, end) call otherwise. Both paths
+/// invoke the same body over the same index space, so a body that
+/// writes only its own indices gives the same result either way.
+void for_range(WorkStealingPool* pool, std::size_t begin, std::size_t end,
+               std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& body);
+
 /// Spawns both callables and joins.
 void parallel_invoke(WorkStealingPool& pool, std::function<void()> a,
                      std::function<void()> b);

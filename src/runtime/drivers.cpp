@@ -65,7 +65,7 @@ DriverResult run_oct_cilk(const molecule::Molecule& mol, int threads,
   util::WallTimer timer;
   const surface::QuadratureSurface surf = [&] {
     OCTGB_TRACE_SCOPE("driver/surface");
-    return surface::build_surface(mol, params.surface);
+    return surface::build_surface(mol, params.surface, &pool);
   }();
   result.num_qpoints = surf.size();
   result.t_surface = timer.seconds();
@@ -125,16 +125,20 @@ DriverResult run_distributed(const molecule::Molecule& mol,
     shared_trees->atoms = octree::Octree(mol.positions(), config.params.octree);
     result.t_tree_build = phase_timer.seconds();
   } else if (!config.replicate_data) {
+    // No rank runs yet, so the shared build gets all P*p worker slots;
+    // the pool is gone before the ranks create their own.
+    parallel::WorkStealingPool build_pool(P * p);
     {
       OCTGB_TRACE_SCOPE("driver/surface");
-      shared_surf.emplace(surface::build_surface(mol, config.params.surface));
+      shared_surf.emplace(
+          surface::build_surface(mol, config.params.surface, &build_pool));
     }
     result.t_surface = phase_timer.seconds();
     phase_timer.restart();
     {
       OCTGB_TRACE_SCOPE("driver/tree_build");
-      shared_trees.emplace(
-          gb::build_born_octrees(mol, *shared_surf, config.params.octree));
+      shared_trees.emplace(gb::build_born_octrees(
+          mol, *shared_surf, config.params.octree, &build_pool));
     }
     result.t_tree_build = phase_timer.seconds();
   }
@@ -190,7 +194,7 @@ DriverResult run_distributed(const molecule::Molecule& mol,
       {
         OCTGB_TRACE_SCOPE("driver/surface");
         local_surf.emplace(
-            surface::build_surface(mol, config.params.surface));
+            surface::build_surface(mol, config.params.surface, pool_ptr));
       }
       t.surface = timer.seconds();
       timer.restart();

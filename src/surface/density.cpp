@@ -38,13 +38,19 @@ double GaussianDensityField::value(const geom::Vec3& x) const {
 }
 
 geom::Vec3 GaussianDensityField::gradient(const geom::Vec3& x) const {
-  geom::Vec3 g;
+  return value_and_gradient(x).gradient;
+}
+
+GaussianDensityField::ValueGradient GaussianDensityField::value_and_gradient(
+    const geom::Vec3& x) const {
+  ValueGradient vg;
   for_each_near(x, [&](std::uint32_t i, const geom::Vec3& c) {
     const double d2 = geom::distance2(x, c);
     const double e = std::exp(-(d2 * inv_r2_[i] - blobbiness_));
-    g += (x - c) * (-2.0 * inv_r2_[i] * e);
+    vg.value += e;
+    vg.gradient += (x - c) * (-2.0 * inv_r2_[i] * e);
   });
-  return g;
+  return vg;
 }
 
 geom::Vec3 GaussianDensityField::outward_normal(const geom::Vec3& x) const {

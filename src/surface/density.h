@@ -39,6 +39,15 @@ class GaussianDensityField {
   /// Analytic gradient of F.
   geom::Vec3 gradient(const geom::Vec3& x) const;
 
+  struct ValueGradient {
+    double value = 0.0;
+    geom::Vec3 gradient;
+  };
+  /// F(x) and grad F(x) in one neighbour pass: each atom's exp is taken
+  /// once and both sums run in value()'s and gradient()'s order, so the
+  /// result is bit-equal to the two separate calls.
+  ValueGradient value_and_gradient(const geom::Vec3& x) const;
+
   /// Outward unit surface normal at x (valid near the iso-surface):
   /// -grad F / |grad F|, since F decreases outward.
   geom::Vec3 outward_normal(const geom::Vec3& x) const;

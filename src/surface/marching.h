@@ -11,6 +11,7 @@
 
 #include <cstddef>
 
+#include "src/parallel/pool.h"
 #include "src/surface/density.h"
 #include "src/surface/mesh.h"
 
@@ -28,7 +29,14 @@ struct MarchingParams {
 /// Extracts the iso-surface of `field` over its surface bounds.
 /// Triangles are oriented outward (consistent with the density gradient);
 /// degenerate triangles are dropped.
+///
+/// With a pool, the per-element stages (grid sampling, vertex
+/// projection, orientation) run under parallel_for, each element
+/// writing only its own slot; triangle and vertex emission stays
+/// serial. The mesh is bit-identical at any worker count and without a
+/// pool.
 TriMesh marching_tetrahedra(const GaussianDensityField& field,
-                            const MarchingParams& params = {});
+                            const MarchingParams& params = {},
+                            parallel::WorkStealingPool* pool = nullptr);
 
 }  // namespace octgb::surface

@@ -1,11 +1,13 @@
 #include "src/surface/quadrature.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 #include "src/geom/celllist.h"
 #include "src/surface/marching.h"
+#include "src/telemetry/telemetry.h"
 #include "src/util/log.h"
 
 namespace octgb::surface {
@@ -13,6 +15,11 @@ namespace octgb::surface {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
+
+// Triangles per sample_mesh chunk: the unit of the q-point offset
+// prefix sum and of parallel work. Fixed, so offsets never depend on
+// the worker count.
+constexpr std::size_t kSampleChunk = 1024;
 
 // Expands a symmetric orbit (a, b, b) into its 3 permutations, or returns
 // the centroid once for a == b == 1/3.
@@ -76,33 +83,63 @@ const TriangleRule& dunavant_rule(int degree) {
 }
 
 QuadratureSurface sample_mesh(const TriMesh& mesh,
-                              const GaussianDensityField& field,
-                              int degree) {
+                              const GaussianDensityField& field, int degree,
+                              parallel::WorkStealingPool* pool) {
+  OCTGB_TRACE_SCOPE("surface/quadrature");
   const TriangleRule& rule = dunavant_rule(degree);
-  QuadratureSurface surf;
-  const std::size_t n = mesh.num_triangles() * rule.nodes.size();
-  surf.points.reserve(n);
-  surf.normals.reserve(n);
-  surf.weights.reserve(n);
-  for (std::size_t t = 0; t < mesh.num_triangles(); ++t) {
-    const double area = mesh.triangle_area(t);
-    if (area <= 0.0) continue;
-    const geom::Vec3 a = mesh.triangle_vertex(t, 0);
-    const geom::Vec3 b = mesh.triangle_vertex(t, 1);
-    const geom::Vec3 c = mesh.triangle_vertex(t, 2);
-    const geom::Vec3 facet_normal = mesh.triangle_normal(t);
-    for (std::size_t k = 0; k < rule.nodes.size(); ++k) {
-      const auto& bc = rule.nodes[k];
-      const geom::Vec3 p = a * bc[0] + b * bc[1] + c * bc[2];
-      geom::Vec3 normal = field.outward_normal(p);
-      // Near-flat density (deep pockets) can zero the gradient; fall
-      // back to the facet normal, which is always outward-wound.
-      if (normal.norm2() < 0.5) normal = facet_normal;
-      surf.points.push_back(p);
-      surf.normals.push_back(normal);
-      surf.weights.push_back(area * rule.weights[k]);
+  const std::size_t nodes = rule.nodes.size();
+  const std::size_t num_tris = mesh.num_triangles();
+  // Zero-area triangles get no q-points, so a triangle's first slot
+  // depends on how many triangles before it are kept. Count per fixed
+  // chunk of triangles, prefix-sum the counts, then let each chunk
+  // write from its own offset.
+  const std::size_t num_chunks = (num_tris + kSampleChunk - 1) / kSampleChunk;
+  std::vector<std::size_t> offset(num_chunks + 1, 0);
+  const auto for_chunks = [&](auto&& chunk_body) {
+    parallel::for_range(pool, 0, num_chunks, 1,
+                        [&](std::size_t c0, std::size_t c1) {
+                          for (std::size_t c = c0; c < c1; ++c) {
+                            chunk_body(c, c * kSampleChunk,
+                                       std::min(num_tris,
+                                                (c + 1) * kSampleChunk));
+                          }
+                        });
+  };
+  for_chunks([&](std::size_t chunk, std::size_t t0, std::size_t t1) {
+    std::size_t kept = 0;
+    for (std::size_t t = t0; t < t1; ++t) {
+      if (mesh.triangle_area(t) > 0.0) ++kept;
     }
-  }
+    offset[chunk + 1] = kept * nodes;
+  });
+  for (std::size_t c = 0; c < num_chunks; ++c) offset[c + 1] += offset[c];
+
+  QuadratureSurface surf;
+  surf.points.resize(offset[num_chunks]);
+  surf.normals.resize(offset[num_chunks]);
+  surf.weights.resize(offset[num_chunks]);
+  for_chunks([&](std::size_t chunk, std::size_t t0, std::size_t t1) {
+    std::size_t q = offset[chunk];
+    for (std::size_t t = t0; t < t1; ++t) {
+      const double area = mesh.triangle_area(t);
+      if (area <= 0.0) continue;
+      const geom::Vec3 a = mesh.triangle_vertex(t, 0);
+      const geom::Vec3 b = mesh.triangle_vertex(t, 1);
+      const geom::Vec3 c = mesh.triangle_vertex(t, 2);
+      const geom::Vec3 facet_normal = mesh.triangle_normal(t);
+      for (std::size_t k = 0; k < nodes; ++k, ++q) {
+        const auto& bc = rule.nodes[k];
+        const geom::Vec3 p = a * bc[0] + b * bc[1] + c * bc[2];
+        geom::Vec3 normal = field.outward_normal(p);
+        // Near-flat density (deep pockets) can zero the gradient; fall
+        // back to the facet normal, which is always outward-wound.
+        if (normal.norm2() < 0.5) normal = facet_normal;
+        surf.points[q] = p;
+        surf.normals[q] = normal;
+        surf.weights[q] = area * rule.weights[k];
+      }
+    }
+  });
   return surf;
 }
 
@@ -167,18 +204,21 @@ QuadratureSurface sphere_sampled_surface_slice(const molecule::Molecule& mol,
 }
 
 QuadratureSurface build_surface(const molecule::Molecule& mol,
-                                const SurfaceParams& params) {
+                                const SurfaceParams& params,
+                                parallel::WorkStealingPool* pool) {
   if (mol.size() <= params.mesh_atom_limit) {
     const GaussianDensityField field(mol, params.blobbiness);
     MarchingParams mp;
     mp.spacing = params.spacing;
     try {
-      const TriMesh mesh = marching_tetrahedra(field, mp);
+      const TriMesh mesh = marching_tetrahedra(field, mp, pool);
       if (!mesh.triangles.empty()) {
         QuadratureSurface surf =
-            sample_mesh(mesh, field, params.quadrature_degree);
+            sample_mesh(mesh, field, params.quadrature_degree, pool);
         util::log_debug("surface: mesh path, ", mesh.num_triangles(),
                         " triangles, ", surf.size(), " q-points");
+        OCTGB_COUNTER_ADD("surface.triangles", mesh.num_triangles());
+        OCTGB_COUNTER_ADD("surface.qpoints", surf.size());
         return surf;
       }
     } catch (const std::runtime_error& e) {
@@ -188,8 +228,10 @@ QuadratureSurface build_surface(const molecule::Molecule& mol,
                      "); using sphere sampling");
     }
   }
-  return sphere_sampled_surface(mol, params.sphere_points,
-                                params.sphere_probe);
+  QuadratureSurface surf = sphere_sampled_surface(mol, params.sphere_points,
+                                                  params.sphere_probe);
+  OCTGB_COUNTER_ADD("surface.qpoints", surf.size());
+  return surf;
 }
 
 }  // namespace octgb::surface

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/molecule/molecule.h"
+#include "src/parallel/pool.h"
 #include "src/surface/density.h"
 #include "src/surface/mesh.h"
 
@@ -53,12 +54,16 @@ struct TriangleRule {
 /// outside that range.
 const TriangleRule& dunavant_rule(int degree);
 
-/// Places `rule(degree)` quadrature points on every triangle of `mesh`.
-/// Normals are taken from the density gradient at each node (more
-/// accurate than facet normals for coarse meshes).
+/// Places `rule(degree)` quadrature points on every triangle of `mesh`
+/// with positive area, in triangle order. Normals are taken from the
+/// density gradient at each node (more accurate than facet normals for
+/// coarse meshes). With a pool, triangles are sampled under
+/// parallel_for straight into their final slots; the output is
+/// bit-identical at any worker count and without a pool.
 QuadratureSurface sample_mesh(const TriMesh& mesh,
                               const GaussianDensityField& field,
-                              int degree = 2);
+                              int degree = 2,
+                              parallel::WorkStealingPool* pool = nullptr);
 
 /// Quadrature of the union-of-spheres surface: for each atom,
 /// `points_per_atom` Fibonacci-lattice points on its sphere of radius
@@ -103,8 +108,12 @@ struct SurfaceParams {
 
 /// Builds the q-point set for a molecule, auto-selecting the triangulated
 /// path for small/medium molecules and the sphere-sampled path for large
-/// ones (the selection can be forced via the params).
+/// ones (the selection can be forced via the params). A pool runs the
+/// triangulated path's per-element stages in parallel (see
+/// marching_tetrahedra and sample_mesh); the q-points are bit-identical
+/// at any worker count and without a pool.
 QuadratureSurface build_surface(const molecule::Molecule& mol,
-                                const SurfaceParams& params = {});
+                                const SurfaceParams& params = {},
+                                parallel::WorkStealingPool* pool = nullptr);
 
 }  // namespace octgb::surface

@@ -168,6 +168,38 @@ TEST(DeterminismOracleTest, OctreeRefitAndRekeyBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+// ---------------------------------------------------------- q-points
+
+std::uint64_t digest_surface(const surface::QuadratureSurface& surf) {
+  Digest d;
+  d.u64(surf.size());
+  for (std::size_t q = 0; q < surf.size(); ++q) {
+    d.f64(surf.points[q].x).f64(surf.points[q].y).f64(surf.points[q].z);
+    d.f64(surf.normals[q].x).f64(surf.normals[q].y).f64(surf.normals[q].z);
+    d.f64(surf.weights[q]);
+  }
+  return d.value();
+}
+
+// The pooled surface stages (grid sampling, Newton projection,
+// orientation, quadrature) each write only their own elements; the
+// q-point set must not depend on whether or how wide a pool ran them.
+TEST(DeterminismOracleTest, SurfaceQPointsBitIdenticalAcrossWorkerCounts) {
+  const std::pair<const char*, molecule::Molecule> inputs[] = {
+      {"protein", molecule::generate_protein(2000, 61)},
+      {"capsid", molecule::generate_capsid(3000, 67)},
+  };
+  for (const auto& [name, mol] : inputs) {
+    const std::uint64_t want =
+        digest_surface(surface::build_surface(mol, {}, nullptr));
+    for (const int workers : {1, 2, 4, 8}) {
+      parallel::WorkStealingPool pool(workers);
+      EXPECT_EQ(digest_surface(surface::build_surface(mol, {}, &pool)), want)
+          << name << " workers=" << workers;
+    }
+  }
+}
+
 // ------------------------------------------------- interaction plans
 
 TEST(DeterminismOracleTest, PlanConstructionBitIdenticalAcrossWorkerCounts) {

@@ -12,6 +12,7 @@
 #include "src/gb/epol.h"
 #include "src/gb/naive.h"
 #include "src/molecule/generators.h"
+#include "src/parallel/pool.h"
 
 namespace octgb::docking {
 namespace {
@@ -203,6 +204,27 @@ TEST(PoseScorerTest, CloseContactPerturbsTheEnergy) {
       geom::Rigid::translate({contact, 0, 0}));
   const PoseScore far = scorer.score(geom::Rigid::translate({500, 0, 0}));
   EXPECT_GT(std::abs(close_pose.delta_energy), std::abs(far.delta_energy));
+}
+
+TEST(PoseScorerTest, PooledPrecomputationMatchesSerial) {
+  // The constructor builds both surfaces and octrees on the scorer's
+  // pool. Surfaces and trees are bit-identical at any worker count; the
+  // pooled Born integrals deposit in completion order, so energies are
+  // compared to a relative 1e-12.
+  const auto receptor = molecule::generate_protein(500, 47);
+  const auto ligand = molecule::generate_ligand(30, 49);
+  const PoseScorer serial(receptor, ligand);
+  const geom::Rigid pose = test_pose(15.0);
+  const PoseScore want = serial.score(pose);
+  parallel::WorkStealingPool pool(4);
+  const PoseScorer pooled(receptor, ligand, {}, &pool);
+  EXPECT_EQ(pooled.num_qpoints(), serial.num_qpoints());
+  EXPECT_NEAR(pooled.receptor_energy(), serial.receptor_energy(),
+              1e-12 * std::abs(serial.receptor_energy()));
+  EXPECT_NEAR(pooled.ligand_energy(), serial.ligand_energy(),
+              1e-12 * std::abs(serial.ligand_energy()));
+  EXPECT_NEAR(pooled.score(pose).complex_energy, want.complex_energy,
+              1e-12 * std::abs(want.complex_energy));
 }
 
 TEST(PoseScorerTest, ScoreIsDeterministic) {

@@ -6,14 +6,21 @@
 //   (1/4pi)  sum w (r-x).n / |r-x|^6  = 1/R^3    (r^6 form, Eq. 4)
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "src/molecule/generators.h"
+#include "src/parallel/pool.h"
 #include "src/surface/density.h"
 #include "src/surface/marching.h"
 #include "src/surface/mesh.h"
 #include "src/surface/quadrature.h"
+#include "src/telemetry/telemetry.h"
 
 namespace octgb::surface {
 namespace {
@@ -45,6 +52,45 @@ TEST(DensityTest, SingleAtomIsoSurfaceIsItsSphere) {
   EXPECT_NEAR(field.value({1.7, 0, 0}), 1.0, 1e-9);
   EXPECT_GT(field.value({1.0, 0, 0}), 1.0);  // inside
   EXPECT_LT(field.value({2.5, 0, 0}), 1.0);  // outside
+}
+
+// Worker counts every pooled surface stage must agree across.
+constexpr int kWorkerCounts[] = {1, 2, 4, 8};
+
+bool bit_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool bit_equal(const geom::Vec3& a, const geom::Vec3& b) {
+  return bit_equal(a.x, b.x) && bit_equal(a.y, b.y) && bit_equal(a.z, b.z);
+}
+
+// First index where two q-point sets differ in any bit, or -1.
+long first_difference(const QuadratureSurface& a, const QuadratureSurface& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    if (!bit_equal(a.points[q], b.points[q]) ||
+        !bit_equal(a.normals[q], b.normals[q]) ||
+        !bit_equal(a.weights[q], b.weights[q])) {
+      return static_cast<long>(q);
+    }
+  }
+  return -1;
+}
+
+TEST(DensityTest, ValueAndGradientBitEqualsSeparateCalls) {
+  const auto mol = molecule::generate_protein(300, 4);
+  const GaussianDensityField field(mol);
+  for (std::size_t i = 0; i < mol.size(); i += 7) {
+    for (const geom::Vec3 off : {geom::Vec3{0.3, -1.1, 0.8},
+                                 geom::Vec3{1.9, 0.2, -0.4},
+                                 geom::Vec3{0, 0, 0}}) {
+      const geom::Vec3 x = mol.atom(i).position + off;
+      const auto vg = field.value_and_gradient(x);
+      EXPECT_TRUE(bit_equal(vg.value, field.value(x))) << "atom " << i;
+      EXPECT_TRUE(bit_equal(vg.gradient, field.gradient(x))) << "atom " << i;
+    }
+  }
 }
 
 TEST(DensityTest, GradientMatchesFiniteDifferences) {
@@ -132,6 +178,25 @@ TEST(MarchingTest, GridBudgetGuardThrows) {
   EXPECT_THROW(marching_tetrahedra(field, params), std::runtime_error);
 }
 
+TEST(MarchingTest, PooledMeshBitIdenticalToSerial) {
+  const auto mol = molecule::generate_protein(1500, 12);
+  const GaussianDensityField field(mol, 1.0);
+  MarchingParams params;
+  params.spacing = 1.4;
+  const TriMesh serial = marching_tetrahedra(field, params);
+  ASSERT_GT(serial.num_triangles(), 4096u);  // several tasks per stage
+  for (const int workers : kWorkerCounts) {
+    parallel::WorkStealingPool pool(workers);
+    const TriMesh pooled = marching_tetrahedra(field, params, &pool);
+    ASSERT_EQ(pooled.vertices.size(), serial.vertices.size());
+    ASSERT_EQ(pooled.triangles, serial.triangles) << "workers=" << workers;
+    for (std::size_t v = 0; v < serial.vertices.size(); ++v) {
+      ASSERT_TRUE(bit_equal(pooled.vertices[v], serial.vertices[v]))
+          << "workers=" << workers << " vertex " << v;
+    }
+  }
+}
+
 TEST(DunavantTest, WeightsSumToOne) {
   for (int degree = 1; degree <= 5; ++degree) {
     const TriangleRule& rule = dunavant_rule(degree);
@@ -197,6 +262,83 @@ TEST(QuadratureTest, MeshSamplingPreservesArea) {
     EXPECT_EQ(s.size(),
               mesh.num_triangles() * dunavant_rule(degree).nodes.size());
   }
+}
+
+TEST(QuadratureTest, PooledSampleMeshMatchesSerialMultiNodeRule) {
+  const auto mol = molecule::generate_protein(800, 5);
+  const GaussianDensityField field(mol, 1.0);
+  MarchingParams params;
+  params.spacing = 1.4;
+  const TriMesh mesh = marching_tetrahedra(field, params);
+  const QuadratureSurface serial = sample_mesh(mesh, field, 3);
+  ASSERT_EQ(serial.size(), mesh.num_triangles() * 4);  // 4 nodes each
+  for (const int workers : kWorkerCounts) {
+    parallel::WorkStealingPool pool(workers);
+    EXPECT_EQ(first_difference(sample_mesh(mesh, field, 3, &pool), serial),
+              -1)
+        << "workers=" << workers;
+  }
+}
+
+TEST(QuadratureTest, PooledSampleMeshSkipsZeroAreaTrianglesLikeSerial) {
+  // Zero-area triangles take no q-point slots, so every later triangle's
+  // output shifts: spread them over several sampling chunks, including
+  // the first and last triangle.
+  const auto mol = molecule::generate_protein(800, 5);
+  const GaussianDensityField field(mol, 1.0);
+  MarchingParams params;
+  params.spacing = 1.4;
+  const TriMesh clean = marching_tetrahedra(field, params);
+  TriMesh mesh;
+  mesh.vertices = clean.vertices;
+  const std::array<std::uint32_t, 3> degenerate{0, 0, 1};
+  for (std::size_t t = 0; t < clean.num_triangles(); ++t) {
+    if (t % 1500 == 0) mesh.triangles.push_back(degenerate);
+    mesh.triangles.push_back(clean.triangles[t]);
+  }
+  mesh.triangles.push_back(degenerate);
+  ASSERT_GT(mesh.num_triangles(), 3000u);
+  ASSERT_EQ(mesh.triangle_area(0), 0.0);
+
+  const QuadratureSurface want = sample_mesh(clean, field, 2);
+  EXPECT_EQ(first_difference(sample_mesh(mesh, field, 2), want), -1);
+  for (const int workers : kWorkerCounts) {
+    parallel::WorkStealingPool pool(workers);
+    EXPECT_EQ(first_difference(sample_mesh(mesh, field, 2, &pool), want), -1)
+        << "workers=" << workers;
+  }
+}
+
+TEST(QuadratureTest, BuildSurfaceEmitsStageSpansAndCounters) {
+  auto& reg = telemetry::MetricsRegistry::instance();
+  const std::uint64_t tris0 = reg.counter("surface.triangles").value();
+  const std::uint64_t q0 = reg.counter("surface.qpoints").value();
+  telemetry::TraceRecorder& rec = telemetry::TraceRecorder::instance();
+  rec.reset();
+  rec.set_enabled(true);
+  parallel::WorkStealingPool pool(2);
+  const QuadratureSurface s =
+      build_surface(molecule::generate_protein(300, 4), {}, &pool);
+  rec.set_enabled(false);
+  const std::vector<telemetry::TraceEvent> events = rec.collect();
+  rec.reset();
+  ASSERT_GT(s.size(), 0u);
+#if defined(OCTGB_TELEMETRY_ENABLED)
+  for (const char* stage :
+       {"surface/field_sample", "surface/marching", "surface/project",
+        "surface/orient", "surface/quadrature"}) {
+    bool seen = false;
+    for (const auto& e : events) seen = seen || std::strcmp(e.name, stage) == 0;
+    EXPECT_TRUE(seen) << stage;
+  }
+  EXPECT_EQ(reg.counter("surface.qpoints").value() - q0, s.size());
+  // Degree-1 rule: one q-point per triangle.
+  EXPECT_EQ(reg.counter("surface.triangles").value() - tris0, s.size());
+#else
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(reg.counter("surface.qpoints").value(), q0);
+  EXPECT_EQ(reg.counter("surface.triangles").value(), tris0);
+#endif
 }
 
 TEST(QuadratureTest, BornIntegralIdentityOnSphereMesh) {
