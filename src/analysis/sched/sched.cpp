@@ -322,6 +322,28 @@ void leave_locked(Ctl& c, int id) {
   t_tls.id = -1;
 }
 
+// The calling thread's rec, looked up under c.mu, or nullptr when its
+// registration went stale after the lock-free active_participant()
+// check: disarm() force-deregisters a participant that holds the grant,
+// and arm() may already have reset recs for the next session. Writing
+// through the stale id would resurrect a Left rec -- it then parks,
+// sees the epoch flip and leaves a second time, live drops to -1 and
+// disarm()'s drain never completes -- or clobber another session's
+// rec. A stale caller drops its TLS and falls back to the real
+// primitives.
+Rec* own_rec_locked(Ctl& c, std::uint32_t epoch) {
+  const int id = t_tls.id;
+  if (epoch == 0 || epoch != c.epoch ||
+      g_armed_epoch.load(std::memory_order_relaxed) != epoch || id < 0 ||
+      id >= static_cast<int>(c.recs.size()) ||
+      c.recs[static_cast<std::size_t>(id)]->st == St::kLeft) {
+    t_tls.epoch = 0;
+    t_tls.id = -1;
+    return nullptr;
+  }
+  return c.recs[static_cast<std::size_t>(id)].get();
+}
+
 // Park until granted (or the session ends). Returns false if the
 // session ended while parked (the rec has been deregistered).
 bool park_until_granted(Ctl& c, std::unique_lock<std::mutex>& lk,
@@ -429,7 +451,9 @@ void yield_point_slow(Point kind) {
   Ctl& c = ctl();
   const std::uint32_t e = t_tls.epoch;
   std::unique_lock<std::mutex> lk(c.mu);
-  Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
+  Rec* const own = own_rec_locked(c, e);
+  if (own == nullptr) return;
+  Rec& r = *own;
   r.last_point = kind;
   r.st = (kind == Point::kPoll) ? St::kPolling : St::kReady;
   if (c.current == t_tls.id) c.current = -1;
@@ -449,12 +473,14 @@ bool cooperative_lock_slow(void* mu) {
   const std::uint32_t e = t_tls.epoch;
   for (;;) {
     std::unique_lock<std::mutex> lk(c.mu);
+    Rec* const own = own_rec_locked(c, e);
+    if (own == nullptr) return false;  // caller real-locks
     // try_lock under c.mu closes the race with note_unlocked_slow,
     // which performs the real unlock *before* taking c.mu: if the
     // mutex was freed before we got here, this succeeds; if it is
     // freed later, the unlocker will find us parked and wake us.
     if (m->try_lock()) return true;
-    Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
+    Rec& r = *own;
     r.st = St::kMutexBlocked;
     r.res = mu;
     r.last_point = Point::kLockAcquire;
@@ -497,7 +523,9 @@ void cond_wait_slow(void* cv) {
   Ctl& c = ctl();
   const std::uint32_t e = t_tls.epoch;
   std::unique_lock<std::mutex> lk(c.mu);
-  Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
+  Rec* const own = own_rec_locked(c, e);
+  if (own == nullptr) return;  // behaves as a spurious wake
+  Rec& r = *own;
   if (c.params.spurious_wake_denom > 0 &&
       r.rng.below(static_cast<std::uint64_t>(c.params.spurious_wake_denom)) ==
           0) {
@@ -528,7 +556,9 @@ bool cond_wait_timed_slow(void* cv) {
   Ctl& c = ctl();
   const std::uint32_t e = t_tls.epoch;
   std::unique_lock<std::mutex> lk(c.mu);
-  Rec& r = *c.recs[static_cast<std::size_t>(t_tls.id)];
+  Rec* const own = own_rec_locked(c, e);
+  if (own == nullptr) return false;
+  Rec& r = *own;
   if (c.params.spurious_wake_denom > 0 &&
       r.rng.below(static_cast<std::uint64_t>(c.params.spurious_wake_denom)) ==
           0) {

@@ -15,6 +15,7 @@
 // definitive-deadlock detector's abort in AbbaDeadlockAborts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -381,6 +382,91 @@ TEST(SchedExploreTest, CoalescingLingerSweep) {
   // deterministically (no notify arrives once the queue is drained and
   // the batch is below max_batch).
   EXPECT_GT(timed_waits, 0u);
+}
+
+// ------------------------------------------ regression: disarm teardown
+
+// Threads that never name themselves, so they never enroll in a
+// session: they wake every 20 us, two per core, so scenario threads are
+// preempted at arbitrary points, the way a busy `ctest -j4` host
+// preempts them. Pure spinners were tried and almost never preempted
+// the hooks where the teardown race below lives.
+class CpuHogs {
+ public:
+  CpuHogs() {
+    const unsigned n =
+        2 * std::clamp(std::thread::hardware_concurrency(), 2u, 8u);
+    for (unsigned i = 0; i < n; ++i) {
+      threads_.emplace_back([this] {
+        while (!stop_.load(std::memory_order_acquire))
+          std::this_thread::sleep_for(20us);
+      });
+    }
+  }
+  ~CpuHogs() {
+    stop_.store(true, std::memory_order_release);
+    for (std::thread& t : threads_) t.join();
+  }
+  CpuHogs(const CpuHogs&) = delete;
+  CpuHogs& operator=(const CpuHogs&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
+};
+
+// disarm() force-deregisters a participant that holds the grant. If
+// that participant has already passed its lock-free check and is about
+// to take the controller lock in a hook, the hook must not write its
+// (now Left) record back to Ready: it would leave a second time, the
+// live count would reach -1 while disarm() still waits for the parked
+// participants to drain, and disarm() would wait forever (seen as a
+// "schedule stalled" abort with every participant `left`). Here
+// "t.spin" yields in a tight loop, so it is inside a hook whenever the
+// main thread disarms, and "t.park" polls a flag, parked behind it.
+TEST(SchedExploreTest, DisarmRacingGrantedParticipantTerminates) {
+  for (int s = 1; s <= 40; ++s) {
+    sched::PctParams params;
+    params.seed = static_cast<std::uint64_t>(s);
+    params.expected_participants = 2;
+    params.change_points = 0;
+    params.record_trace = false;
+    sched::arm(params);
+    std::atomic<int> yields{0};
+    std::atomic<bool> stop{false};
+    std::thread spin([&] {
+      sched::Participant p("t.spin");
+      while (!stop.load(std::memory_order_acquire)) {
+        sched::yield_point(sched::Point::kYield);
+        yields.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    std::thread park([&] {
+      sched::Participant p("t.park");
+      sched::await_flag(stop);
+    });
+    while (yields.load(std::memory_order_relaxed) < s % 7 + 1)
+      std::this_thread::yield();
+    const sched::RunReport rep = sched::disarm();
+    stop.store(true, std::memory_order_release);
+    spin.join();
+    park.join();
+    EXPECT_EQ(rep.participants, 2);
+    EXPECT_GT(rep.grants, 0u);
+  }
+}
+
+// The service sweeps of both linger settings, re-run under CPU churn:
+// the load under which the teardown race above made them abort in plain
+// `ctest -j4` runs (there the dispatcher is still inside a hook when the
+// main thread returns from drain() and disarms).
+TEST(SchedExploreTest, ServiceSweepsUnderCpuContention) {
+  CpuHogs hogs;
+  const int kSeeds = seeds_from_env();
+  for (int s = 1; s <= kSeeds; ++s) {
+    run_service_scenario(static_cast<std::uint64_t>(s), 0us);
+    run_service_scenario(static_cast<std::uint64_t>(s), 300us);
+  }
 }
 
 // ---------------------------------------------------- deadlock detector
