@@ -13,6 +13,10 @@
 // BENCH_determinism.json: a cross-PR tripwire for silent determinism
 // regressions (the checksum should only move when an algorithm
 // legitimately changes).
+//
+// The GB rows cover the path requests run: pooled batched kernels over
+// a 20k-atom plan (SIMD and scalar engines), and repeated OCT_MPI+CILK
+// solves of a 20k-atom capsid on 2 ranks x 2 workers.
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -23,6 +27,7 @@
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
 #include "src/gb/interaction_lists.h"
+#include "src/gb/kernels_batch.h"
 #include "src/gb/naive.h"
 #include "src/load/shard_sim.h"
 #include "src/load/sim.h"
@@ -30,6 +35,7 @@
 #include "src/molecule/generators.h"
 #include "src/octree/octree.h"
 #include "src/parallel/pool.h"
+#include "src/runtime/drivers.h"
 #include "src/surface/quadrature.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
@@ -204,6 +210,65 @@ std::uint64_t probe_epol(int workers) {
   return std::bit_cast<std::uint64_t>(e);
 }
 
+// The production GB path at 20k atoms: a plan replayed by the pooled
+// batched kernels. Surface, trees and plan are built once (pooled; all
+// three are bit-identical at any worker count) and shared by the rows.
+struct GbWorld {
+  molecule::Molecule mol = molecule::generate_protein(20000, 3);
+  surface::QuadratureSurface surf;
+  gb::BornOctrees trees;
+  gb::InteractionPlan plan;
+
+  GbWorld() {
+    parallel::WorkStealingPool pool(4);
+    surf = surface::build_surface(mol, {}, &pool);
+    trees = gb::build_born_octrees(mol, surf, {}, &pool);
+    plan = gb::build_interaction_plan(trees, gb::ApproxParams{}, &pool);
+  }
+};
+
+GbWorld& gb_world() {
+  static GbWorld w;
+  return w;
+}
+
+std::uint64_t batched_digest(int workers, gb::SimdMode mode) {
+  GbWorld& w = gb_world();
+  parallel::WorkStealingPool pool(workers == 0 ? 1 : workers);
+  parallel::WorkStealingPool* p = maybe_pool(workers, pool);
+  const gb::ApproxParams approx;
+  const auto born = gb::born_radii_batched(w.trees, w.mol, w.surf, w.plan,
+                                           approx, p, mode);
+  const double e = gb::epol_batched(w.trees.atoms, w.mol, born.radii, w.plan,
+                                    approx, {}, p, mode)
+                       .energy;
+  Digest d;
+  d.u64(born.radii.size());
+  for (const double r : born.radii) d.f64(r);
+  return d.f64(e).value();
+}
+
+std::uint64_t probe_batched_auto(int workers) {
+  return batched_digest(workers, gb::SimdMode::kAuto);
+}
+
+std::uint64_t probe_batched_scalar(int workers) {
+  return batched_digest(workers, gb::SimdMode::kForceScalar);
+}
+
+std::uint64_t probe_oct_mpi_cilk(int workers) {
+  // Ranks x threads is the driver's configuration, not an
+  // implementation detail, so the probe pins 2 x 2 and uses the worker
+  // axis as repeated solves (as probe_load_sim does).
+  (void)workers;
+  static const molecule::Molecule capsid = molecule::generate_capsid(20000, 11);
+  const runtime::DriverResult r = runtime::run_oct_mpi_cilk(capsid, 2, 2);
+  Digest d;
+  d.u64(r.born_radii.size());
+  for (const double x : r.born_radii) d.f64(x);
+  return d.f64(r.energy).value();
+}
+
 std::uint64_t probe_load_sim(int workers) {
   // num_threads is a *model parameter* of the sim (more modeled
   // workers legitimately finish sooner), so the probe pins it and uses
@@ -242,6 +307,9 @@ constexpr Probe kProbes[] = {
     {"surface_qpoints", probe_surface},
     {"interaction_plan", probe_plan},
     {"epol_energy", probe_epol},
+    {"born_epol_batched_simd", probe_batched_auto},
+    {"born_epol_batched_scalar", probe_batched_scalar},
+    {"oct_mpi_cilk_capsid", probe_oct_mpi_cilk},
     {"load_sim", probe_load_sim},
     {"shard_sim", probe_shard_sim},
 };

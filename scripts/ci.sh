@@ -153,12 +153,14 @@ run_detlint() {
 run_tsan() {
   # The suites that exercise shared mutable state: the work-stealing
   # pool, the serving layer, the race stress battery, the simmpi rank
-  # threads, and the pooled surface stages (each element writes only its
-  # own slot; the mesh is shared between them). The numeric kernels are
-  # data-parallel over disjoint ranges and add nothing but wall time
-  # here.
+  # threads, the pooled surface stages (each element writes only its
+  # own slot; the mesh is shared between them), and the pooled GB
+  # kernels. Their Born and E_pol deposits are plain stores into shared
+  # accumulators, race-free only while each slot has one owner
+  # (src/gb/traversal.h slot_owners, the plan's chunk ownership); this
+  # stage is the runtime check of that.
   local TSAN_TESTS=(parallel_test serve_test race_stress_test simmpi_test
-    surface_test)
+    surface_test kernels_batch_test gb_born_test)
   echo "==> tsan: ThreadSanitizer build of concurrency tests"
   cmake -B build-tsan -S . -DOCTGB_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

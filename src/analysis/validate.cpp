@@ -389,6 +389,34 @@ Report validate_plan(const gb::BornOctrees& trees,
   check_chunks(plan.epol_near_chunks, plan.epol_near.size(), "epol_near");
   check_chunks(plan.epol_far_chunks, plan.epol_far.size(), "epol_far");
 
+  // Chunk ownership: the executor deposits with a plain `+=`, which is
+  // race-free only while every accumulator target of a list lives in
+  // exactly one chunk.
+  const auto check_ownership = [&rep](const std::vector<gb::NodePair>& items,
+                                      const std::vector<std::uint32_t>& chunks,
+                                      const char* name) {
+    if (chunks.empty() || chunks.back() != items.size()) return;
+    constexpr std::uint32_t kNone = 0xffffffffu;
+    std::vector<std::uint32_t> chunk_of;
+    for (std::size_t c = 0; c + 1 < chunks.size(); ++c) {
+      for (std::uint32_t i = chunks[c]; i < chunks[c + 1]; ++i) {
+        const std::uint32_t t = items[i].target;
+        if (t >= chunk_of.size()) chunk_of.resize(t + std::size_t{1}, kNone);
+        if (chunk_of[t] == kNone) {
+          chunk_of[t] = static_cast<std::uint32_t>(c);
+        } else if (chunk_of[t] != c) {
+          rep.fail("plan: %s target %u is written by chunks %u and %zu",
+                   name, t, chunk_of[t], c);
+          return;
+        }
+      }
+    }
+  };
+  check_ownership(plan.born_near, plan.born_near_chunks, "born_near");
+  check_ownership(plan.born_far, plan.born_far_chunks, "born_far");
+  check_ownership(plan.epol_near, plan.epol_near_chunks, "epol_near");
+  check_ownership(plan.epol_far, plan.epol_far_chunks, "epol_far");
+
   if (at.empty()) return rep;
 
   // ---- Born phase: source = T_Q leaf, items target T_A nodes. ----

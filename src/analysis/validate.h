@@ -67,7 +67,9 @@ Report validate_born_octrees(const gb::BornOctrees& trees,
 /// satisfy the (1 + 2/eps) Greengard-Rokhlin separation with d > 0;
 /// near pairs name leaves that fail it (Born phase; the E_pol phase
 /// classifies leaves before the criterion, mirroring Figure 3); chunk
-/// tables start at 0, end at the list size and increase monotonically.
+/// tables start at 0, end at the list size and increase monotonically;
+/// and no accumulator target appears in two chunks of one list (the
+/// executor's plain-`+=` deposits rely on this chunk ownership).
 Report validate_plan(const gb::BornOctrees& trees,
                      const gb::InteractionPlan& plan,
                      const gb::ApproxParams& params);

@@ -33,8 +33,7 @@ struct IntegralInputs {
 // leaf `a_leaf`.
 template <int Power>
 void exact_leaf_pair(const IntegralInputs& in, std::uint32_t a_leaf,
-                     std::uint32_t q_leaf, BornWorkspace& ws,
-                     bool atomic = true) {
+                     std::uint32_t q_leaf, BornWorkspace& ws) {
   const octree::Node& a_node = in.atoms.node(a_leaf);
   const octree::Node& q_node = in.qpoints.node(q_leaf);
   const auto a_index = in.atoms.point_index();
@@ -49,7 +48,7 @@ void exact_leaf_pair(const IntegralInputs& in, std::uint32_t a_leaf,
       acc += born_term<Power>(in.surf.points[q], in.surf.normals[q],
                               in.surf.weights[q], x);
     }
-    kernel_add(ws.atom_s[a], acc, atomic);
+    ws.atom_s[a] += acc;
   }
 }
 
@@ -58,15 +57,15 @@ void exact_leaf_pair(const IntegralInputs& in, std::uint32_t a_leaf,
 template <int Power>
 void far_deposit(const octree::Octree& atoms, const octree::Octree& qpoints,
                  std::span<const geom::Vec3> q_normals, std::uint32_t a,
-                 std::uint32_t q, double d2, BornWorkspace& ws,
-                 bool atomic = true) {
+                 std::uint32_t q, double d2, BornWorkspace& ws) {
   const geom::Vec3 diff = qpoints.node(q).center - atoms.node(a).center;
-  kernel_add(ws.node_s[a], q_normals[q].dot(diff) * inv_pow<Power>(d2),
-             atomic);
+  ws.node_s[a] += q_normals[q].dot(diff) * inv_pow<Power>(d2);
 }
 
 // APPROX-INTEGRALS (Figure 2) for the q-leaves [qleaf_begin, qleaf_end)
-// of in.qpoints, one walk_born per leaf; one task per leaf with a pool.
+// of in.qpoints: one task per slot owner of in.atoms, each replaying the
+// q-leaves in order with one walk_born per leaf, so the bits do not
+// depend on the pool.
 template <int Power>
 void integrals(const IntegralInputs& in, std::size_t qleaf_begin,
                std::size_t qleaf_end, const ApproxParams& params,
@@ -77,25 +76,25 @@ void integrals(const IntegralInputs& in, std::size_t qleaf_begin,
   qleaf_end = std::min(qleaf_end, leaves.size());
   if (qleaf_begin >= qleaf_end) return;
 
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t q = leaves[i];
-      walk_born(
-          in.atoms, in.qpoints.node(q), far,
-          [&](std::uint32_t a, double d2) {
-            far_deposit<Power>(in.atoms, in.qpoints, in.q_normals, a, q, d2,
-                               ws);
-          },
-          [&](std::uint32_t a) { exact_leaf_pair<Power>(in, a, q, ws); });
-    }
-  };
-  if (pool != nullptr) {
-    pool->run([&] {
-      parallel::parallel_for(*pool, qleaf_begin, qleaf_end, 1, body);
-    });
-  } else {
-    body(qleaf_begin, qleaf_end);
-  }
+  const std::vector<SlotOwner> owners = slot_owners(in.atoms);
+  parallel::for_range(
+      pool, 0, owners.size(), 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t o = lo; o < hi; ++o) {
+          for (std::size_t i = qleaf_begin; i < qleaf_end; ++i) {
+            const std::uint32_t q = leaves[i];
+            walk_born(
+                in.atoms, in.qpoints.node(q), far,
+                [&](std::uint32_t a, double d2) {
+                  far_deposit<Power>(in.atoms, in.qpoints, in.q_normals, a,
+                                     q, d2, ws);
+                },
+                [&](std::uint32_t a) {
+                  exact_leaf_pair<Power>(in, a, q, ws);
+                },
+                owners[o]);
+          }
+        }
+      });
 }
 
 IntegralInputs inputs_of(const BornOctrees& trees,
@@ -241,20 +240,18 @@ void born_exact_leaf_pair(const BornOctrees& trees,
                           const molecule::Molecule& mol,
                           const surface::QuadratureSurface& surf,
                           std::uint32_t a_leaf, std::uint32_t q_leaf,
-                          BornWorkspace& ws, bool atomic) {
-  exact_leaf_pair<6>(inputs_of(trees, mol, surf), a_leaf, q_leaf, ws,
-                     atomic);
+                          BornWorkspace& ws) {
+  exact_leaf_pair<6>(inputs_of(trees, mol, surf), a_leaf, q_leaf, ws);
 }
 
 void born_far_deposit(const BornOctrees& trees, std::uint32_t a_node,
-                      std::uint32_t q_leaf, BornWorkspace& ws,
-                      bool atomic) {
+                      std::uint32_t q_leaf, BornWorkspace& ws) {
   // Recomputes the same distance expression the walk classified with,
   // so the deposited value is identical to the fused path's.
   const double d2 = geom::distance2(trees.atoms.node(a_node).center,
                                     trees.qpoints.node(q_leaf).center);
   far_deposit<6>(trees.atoms, trees.qpoints, trees.q_weighted_normal, a_node,
-                 q_leaf, d2, ws, atomic);
+                 q_leaf, d2, ws);
 }
 
 std::vector<geom::Vec3> q_weighted_normals(
@@ -371,19 +368,31 @@ BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
                                     parallel::WorkStealingPool* pool) {
   BornWorkspace ws(trees);
   if (!trees.atoms.empty() && !trees.qpoints.empty()) {
+    // Owner-computes: one serial walk_dual per subtree owner against the
+    // T_Q root. The subtrees partition the atoms, so every atom/q-point
+    // pair is covered once, and each owner's slots see one fixed order
+    // at any worker count. The top owner's nodes take no deposits here.
     const IntegralInputs in = inputs_of(trees, mol, surf);
-    walk_dual(
-        trees.atoms, trees.qpoints, BornFarTest{born_far_factor2(params)},
-        [&](std::uint32_t a, std::uint32_t q, double d2) {
-          far_deposit<6>(trees.atoms, trees.qpoints, trees.q_weighted_normal,
-                         a, q, d2, ws);
-          return 0.0;
-        },
-        [&](std::uint32_t a, std::uint32_t q) {
-          exact_leaf_pair<6>(in, a, q, ws);
-          return 0.0;
-        },
-        pool);
+    const BornFarTest far{born_far_factor2(params)};
+    const std::vector<SlotOwner> owners = slot_owners(trees.atoms);
+    parallel::for_range(
+        pool, 0, owners.size(), 1, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t o = lo; o < hi; ++o) {
+            if (owners[o].cut != 0) continue;  // the top owner
+            walk_dual(
+                trees.atoms, trees.qpoints, far,
+                [&](std::uint32_t a, std::uint32_t q, double d2) {
+                  far_deposit<6>(trees.atoms, trees.qpoints,
+                                 trees.q_weighted_normal, a, q, d2, ws);
+                  return 0.0;
+                },
+                [&](std::uint32_t a, std::uint32_t q) {
+                  exact_leaf_pair<6>(in, a, q, ws);
+                  return 0.0;
+                },
+                nullptr, owners[o].root);
+          }
+        });
   }
   BornRadiiResult out;
   out.radii.assign(mol.size(), 0.0);

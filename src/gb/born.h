@@ -74,10 +74,12 @@ BornOctrees build_born_octrees(const molecule::Molecule& mol,
 double born_far_factor2(const ApproxParams& params);
 
 /// Mutable accumulators for one Born-radius computation. node_s is
-/// indexed by T_A node id, atom_s by *original* atom id. Accumulation
-/// uses atomic adds, so concurrent workers / leaf tasks may share one
-/// workspace; in the distributed drivers each rank owns a private
-/// workspace that is later merged with MPI_Allreduce.
+/// indexed by T_A node id, atom_s by *original* atom id. Deposits are
+/// plain `+=`: pooled workers share one workspace, but each slot
+/// belongs to exactly one slot owner (slot_owners in
+/// src/gb/traversal.h) and only that owner's task writes it, in the
+/// serial q-leaf order. In the distributed drivers each rank owns a
+/// private workspace that is later merged with MPI_Allreduce.
 struct BornWorkspace {
   std::vector<double> node_s;
   std::vector<double> atom_s;
@@ -100,18 +102,18 @@ void born_exact_leaf_pair(const BornOctrees& trees,
                           const molecule::Molecule& mol,
                           const surface::QuadratureSurface& surf,
                           std::uint32_t a_leaf, std::uint32_t q_leaf,
-                          BornWorkspace& ws, bool atomic = true);
+                          BornWorkspace& ws);
 
 /// Far-field monopole deposit of T_Q leaf `q_leaf` into the accumulator
 /// of T_A node `a_node` (ws.node_s[a_node]). Shared with the batched
 /// executor like born_exact_leaf_pair.
 void born_far_deposit(const BornOctrees& trees, std::uint32_t a_node,
-                      std::uint32_t q_leaf, BornWorkspace& ws,
-                      bool atomic = true);
+                      std::uint32_t q_leaf, BornWorkspace& ws);
 
 /// APPROX-INTEGRALS for the q-point leaves [qleaf_begin, qleaf_end) of
 /// T_Q (indices into trees.qpoints.leaves()). If `pool` is non-null the
-/// leaves are processed as parallel tasks on it.
+/// slot owners of T_A run as parallel tasks on it, each over the whole
+/// leaf range in order; the result is bit-identical to the serial call.
 void approx_integrals(const BornOctrees& trees,
                       const molecule::Molecule& mol,
                       const surface::QuadratureSurface& surf,
@@ -170,7 +172,9 @@ BornRadiiResult born_radii_octree_r4(const BornOctrees& trees,
                                      const ApproxParams& params,
                                      parallel::WorkStealingPool* pool = nullptr);
 
-/// The dual-tree (simultaneous traversal) variant used by OCT_CILK.
+/// The dual-tree (simultaneous traversal) variant used by OCT_CILK: one
+/// walk_dual per subtree slot owner of T_A against the T_Q root, so the
+/// radii are bit-identical at any worker count, serial included.
 BornRadiiResult born_radii_dualtree(const BornOctrees& trees,
                                     const molecule::Molecule& mol,
                                     const surface::QuadratureSurface& surf,

@@ -15,9 +15,10 @@ namespace octgb::gb {
 
 namespace {
 
-// Work items produced by one contiguous range of source leaves. The
-// parallel builder fills one of these per range and concatenates them in
-// range order, so the merged lists are identical to a serial build.
+// Work items produced by one builder task: one slot owner's Born pairs,
+// or one contiguous range of E_pol target leaves. The builder fills one
+// of these per task and concatenates them in task order, so the plan
+// does not depend on the pool.
 struct LocalLists {
   std::vector<NodePair> born_near;
   std::vector<NodePair> born_far;
@@ -25,11 +26,14 @@ struct LocalLists {
   std::vector<NodePair> epol_far;
 };
 
-// Splits `items` into chunks of roughly equal estimated cost. Greedy
-// forward scan: close the current chunk once it holds >= total/target
-// cost. Offsets always start at 0 and end at items.size().
+// Splits `items` into chunks of roughly equal estimated cost, cutting
+// only at the group starts in `groups` (ascending, 0 first, items.size()
+// last), so no group is ever split between chunks. Greedy forward scan:
+// close the current chunk at the first group end where it holds >=
+// total/target cost.
 template <typename CostFn>
 std::vector<std::uint32_t> make_chunks(const std::vector<NodePair>& items,
+                                       const std::vector<std::uint32_t>& groups,
                                        std::size_t target_chunks,
                                        CostFn&& cost) {
   std::vector<std::uint32_t> offsets{0};
@@ -41,10 +45,12 @@ std::vector<std::uint32_t> make_chunks(const std::vector<NodePair>& items,
   const double per_chunk =
       total / static_cast<double>(std::max<std::size_t>(1, target_chunks));
   double acc = 0.0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    acc += cost(items[i]);
-    if (acc >= per_chunk && i + 1 < items.size()) {
-      offsets.push_back(static_cast<std::uint32_t>(i + 1));
+  for (std::size_t g = 0; g + 1 < groups.size(); ++g) {
+    for (std::uint32_t i = groups[g]; i < groups[g + 1]; ++i) {
+      acc += cost(items[i]);
+    }
+    if (acc >= per_chunk && groups[g + 1] < items.size()) {
+      offsets.push_back(groups[g + 1]);
       acc = 0.0;
     }
   }
@@ -86,89 +92,96 @@ InteractionPlan build_interaction_plan(const BornOctrees& trees,
   const auto a_leaves =
       have_epol ? trees.atoms.leaves() : std::span<const std::uint32_t>{};
 
-  // Both phases iterate source leaves; process them as one index space
-  // [0, nq + na) so a single range partition load-balances both.
-  const std::size_t nq = q_leaves.size();
-  const std::size_t total_leaves = nq + a_leaves.size();
-  if (total_leaves == 0) return plan;
+  // One task per Born slot owner (each replays every q-leaf in order),
+  // then one per fixed range of E_pol target leaves, as one index space
+  // so a single pass load-balances both phases.
+  const std::vector<SlotOwner> owners =
+      have_born ? slot_owners(trees.atoms) : std::vector<SlotOwner>{};
+  constexpr std::size_t kEpolRanges = 256;
+  const std::size_t na = a_leaves.size();
+  const std::size_t epol_ranges = std::min(na, kEpolRanges);
+  const std::size_t num_tasks = owners.size() + epol_ranges;
+  if (num_tasks == 0) return plan;
 
   // The fused evaluators' walks, recording each pair instead of
   // evaluating it. E_pol items record V's ordinal in tree.leaves() so the
   // executor can keep per-leaf accumulators in a flat array.
-  auto range_body = [&](std::size_t lo, std::size_t hi, LocalLists& out) {
-    for (std::size_t i = lo; i < hi && i < nq; ++i) {
-      const std::uint32_t q = q_leaves[i];
-      walk_born(
-          trees.atoms, trees.qpoints.node(q), born_far,
-          [&](std::uint32_t a, double) { out.born_far.push_back({a, q}); },
-          [&](std::uint32_t a) { out.born_near.push_back({a, q}); });
+  std::vector<LocalLists> buckets(num_tasks);
+  const auto task = [&](std::size_t t) {
+    LocalLists& out = buckets[t];
+    if (t < owners.size()) {
+      for (const std::uint32_t q : q_leaves) {
+        walk_born(
+            trees.atoms, trees.qpoints.node(q), born_far,
+            [&](std::uint32_t a, double) { out.born_far.push_back({a, q}); },
+            [&](std::uint32_t a) { out.born_near.push_back({a, q}); },
+            owners[t]);
+      }
+      return;
     }
-    for (std::size_t i = std::max(lo, nq); i < hi; ++i) {
-      const auto v = static_cast<std::uint32_t>(i - nq);
+    const std::size_t r = t - owners.size();
+    for (std::size_t v = na * r / epol_ranges;
+         v < na * (r + 1) / epol_ranges; ++v) {
       const octree::Node& v_node = trees.atoms.node(a_leaves[v]);
+      const auto vi = static_cast<std::uint32_t>(v);
       walk_epol(
           trees.atoms, v_node.center, v_node.radius, epol_far,
-          [&](std::uint32_t u) { out.epol_near.push_back({v, u}); },
-          [&](std::uint32_t u, double) { out.epol_far.push_back({v, u}); });
+          [&](std::uint32_t u) { out.epol_near.push_back({vi, u}); },
+          [&](std::uint32_t u, double) { out.epol_far.push_back({vi, u}); });
     }
   };
+  parallel::for_range(pool, 0, num_tasks, 1,
+                      [&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t t = lo; t < hi; ++t) task(t);
+                      });
 
-  // Fixed range decomposition (not dynamic chunking) keeps the merge
-  // order -- and therefore the plan -- independent of thread timing.
-  const std::size_t num_ranges =
-      pool == nullptr ? 1
-                      : std::min<std::size_t>(total_leaves,
-                                              pool->num_workers() * 4);
-  std::vector<LocalLists> buckets(num_ranges);
-  if (num_ranges <= 1) {
-    range_body(0, total_leaves, buckets[0]);
-  } else {
-    pool->run([&] {
-      parallel::TaskGroup tg(*pool);
-      for (std::size_t r = 0; r < num_ranges; ++r) {
-        const std::size_t lo = total_leaves * r / num_ranges;
-        const std::size_t hi = total_leaves * (r + 1) / num_ranges;
-        tg.spawn([&, lo, hi, r] { range_body(lo, hi, buckets[r]); });
-      }
-      tg.wait();
-    });
-  }
+  // Concatenates one list of every bucket in task order: the Born lists
+  // come out owner-major (q-leaf order within an owner), the E_pol lists
+  // in target-leaf order. Returns the bucket boundaries, the only places
+  // the list's chunks may be cut, so no slot is written by two chunks.
+  const auto concat = [&](std::vector<NodePair> LocalLists::*list,
+                          std::vector<NodePair>& out) {
+    std::size_t total = 0;
+    for (const LocalLists& b : buckets) total += (b.*list).size();
+    out.reserve(total);
+    std::vector<std::uint32_t> groups{0};
+    for (const LocalLists& b : buckets) {
+      out.insert(out.end(), (b.*list).begin(), (b.*list).end());
+      groups.push_back(static_cast<std::uint32_t>(out.size()));
+    }
+    return groups;
+  };
+  const auto born_near_groups = concat(&LocalLists::born_near, plan.born_near);
+  const auto born_far_groups = concat(&LocalLists::born_far, plan.born_far);
+  const auto epol_near_groups = concat(&LocalLists::epol_near, plan.epol_near);
+  const auto epol_far_groups = concat(&LocalLists::epol_far, plan.epol_far);
 
-  for (const LocalLists& b : buckets) {
-    plan.born_near.insert(plan.born_near.end(), b.born_near.begin(),
-                          b.born_near.end());
-    plan.born_far.insert(plan.born_far.end(), b.born_far.begin(),
-                         b.born_far.end());
-    plan.epol_near.insert(plan.epol_near.end(), b.epol_near.begin(),
-                          b.epol_near.end());
-    plan.epol_far.insert(plan.epol_far.end(), b.epol_far.begin(),
-                         b.epol_far.end());
-  }
-
-  // Cost-balanced chunk tables for the executor. Near pairs cost the
-  // product of their point counts; a far deposit is one kernel call; a
-  // bin-bin block touches a handful of non-empty bin combinations (the
-  // bins do not exist yet -- the plan is Born-radius independent -- so
-  // a flat estimate stands in).
+  // Cost-balanced chunk tables for the executor, cut only at bucket
+  // boundaries. Near pairs cost the product of their point counts; a
+  // far deposit is one kernel call; a bin-bin block touches a handful of
+  // non-empty bin combinations (the bins do not exist yet -- the plan is
+  // Born-radius independent -- so a flat estimate stands in).
   constexpr std::size_t kTargetChunks = 64;
   constexpr double kFarBinCost = 8.0;
   const auto count_of = [](const octree::Octree& t, std::uint32_t n) {
     return static_cast<double>(t.node(n).count());
   };
   plan.born_near_chunks = make_chunks(
-      plan.born_near, kTargetChunks, [&](const NodePair& p) {
+      plan.born_near, born_near_groups, kTargetChunks, [&](const NodePair& p) {
         return count_of(trees.atoms, p.target) *
                count_of(trees.qpoints, p.source);
       });
-  plan.born_far_chunks = make_chunks(plan.born_far, kTargetChunks,
-                                     [](const NodePair&) { return 1.0; });
+  plan.born_far_chunks =
+      make_chunks(plan.born_far, born_far_groups, kTargetChunks,
+                  [](const NodePair&) { return 1.0; });
   plan.epol_near_chunks = make_chunks(
-      plan.epol_near, kTargetChunks, [&](const NodePair& p) {
+      plan.epol_near, epol_near_groups, kTargetChunks,
+      [&](const NodePair& p) {
         return count_of(trees.atoms, a_leaves[p.target]) *
                count_of(trees.atoms, p.source);
       });
   plan.epol_far_chunks =
-      make_chunks(plan.epol_far, kTargetChunks,
+      make_chunks(plan.epol_far, epol_far_groups, kTargetChunks,
                   [](const NodePair&) { return kFarBinCost; });
 
 #if defined(OCTGB_VALIDATE_BUILD)

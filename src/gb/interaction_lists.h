@@ -17,11 +17,14 @@
 //  * E_pol far pairs  (T_A node u, T_A leaf v) -> bin-vs-bin blocks.
 //
 // Phase 2 (src/gb/kernels_batch.h) replays the lists over SoA scratch
-// arrays with SIMD-batched kernels. Items are recorded in exactly the
-// fused evaluators' visit order, so a serial scalar replay reproduces
-// the fused results bit-for-bit; chunk offsets computed from a per-item
-// cost model make the lists schedulable on the work-stealing pool
-// without cutting into pathologically unbalanced pieces.
+// arrays with SIMD-batched kernels. Every accumulator slot receives its
+// items in the fused evaluators' order, so a scalar replay reproduces
+// the fused results bit-for-bit. The Born lists are grouped by slot
+// owner (slot_owners in src/gb/traversal.h) and the E_pol lists by
+// ranges of target leaves; chunk offsets, balanced by a per-item cost
+// model, cut only between groups. A chunk therefore owns every slot it writes,
+// the executor deposits with a plain `+=`, and a pooled replay gives
+// the serial bits at any worker count.
 //
 // The plan depends only on the tree geometry and the epsilons -- not on
 // charges or Born radii -- so the serving layer caches it next to the
@@ -47,10 +50,11 @@ struct NodePair {
 };
 
 /// The traversal's output: four flat lists of work items plus
-/// cost-balanced chunk offsets for scheduling. Lists are ordered
-/// exactly as the shared walks visit the pairs (source-leaf major,
-/// stack order within a leaf), which is what makes a serial replay
-/// bit-identical to the fused evaluators.
+/// cost-balanced chunk offsets for scheduling. The Born lists are
+/// owner-major, then q-leaf order, then walk order; the E_pol lists are
+/// target-leaf order, then walk order. Each slot thus sees its items in
+/// the fused evaluators' order, which is what makes a replay
+/// bit-identical to them.
 struct InteractionPlan {
   /// target = T_A *leaf* node id, source = T_Q leaf node id.
   std::vector<NodePair> born_near;
@@ -64,6 +68,9 @@ struct InteractionPlan {
   /// Chunk offsets into each list: chunk c is [chunks[c], chunks[c+1]).
   /// Chunks have roughly equal estimated cost, not equal item count --
   /// a near pair costs |A| * |Q| kernel evaluations, a far deposit one.
+  /// No target appears in two chunks of one list (chunks cut only
+  /// between owners or target-leaf ranges; analysis::validate_plan
+  /// checks).
   std::vector<std::uint32_t> born_near_chunks;
   std::vector<std::uint32_t> born_far_chunks;
   std::vector<std::uint32_t> epol_near_chunks;
@@ -79,9 +86,10 @@ struct InteractionPlan {
 
 /// Traversal-only pass over T_Q-vs-T_A (Born phase, Figure 2 criterion)
 /// and T_A-vs-T_A (E_pol phase, Figure 3 criterion). With a pool the
-/// per-leaf traversals run as parallel tasks into per-range vectors
-/// that are merged in leaf order, so the plan is deterministic either
-/// way. Throws std::invalid_argument for non-positive epsilons.
+/// per-owner and per-leaf-range traversals run as parallel tasks into
+/// private vectors that are merged in task order, so the plan is the
+/// same either way. Throws std::invalid_argument for non-positive
+/// epsilons.
 InteractionPlan build_interaction_plan(
     const BornOctrees& trees, const ApproxParams& params,
     parallel::WorkStealingPool* pool = nullptr);

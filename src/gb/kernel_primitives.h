@@ -16,39 +16,16 @@
 // reduction order: the compiler contracts multiplies and adds into FMAs
 // per expression shape, so two textually different implementations of the
 // same formula may round differently. Do not duplicate these bodies.
+//
+// Deposits into shared accumulators are plain `+=`: every pooled
+// caller gives each slot to exactly one task (owner-computes, see
+// slot_owners in src/gb/traversal.h), which writes it in the serial
+// order, so a pooled run reproduces the serial bits.
 #pragma once
-
-#include <atomic>
 
 #include "src/geom/vec3.h"
 
 namespace octgb::gb {
-
-/// Relaxed atomic accumulation into a shared double. Bitwise identical to
-/// a plain `target += value` when only one thread touches the slot, so
-/// serial plan execution reproduces the serial fused evaluator exactly.
-inline void kernel_atomic_add(double& target, double value) {
-  // Deposits land in completion order, so the last ulp of a shared
-  // slot can differ across worker counts; the bit-exact scalar replay
-  // (serial plan execution) is the correctness oracle for pooled
-  // kernel runs (DESIGN.md section 17).
-  // detlint:allow(shared-float-accum): scalar replay is the oracle
-  std::atomic_ref<double>(target).fetch_add(value,
-                                            std::memory_order_relaxed);
-}
-
-/// Accumulation with a runtime atomicity switch: atomic when workers
-/// share the slot (pooled execution), a plain `+=` when the caller runs
-/// serially. Both orderings produce bitwise identical sums; the switch
-/// only buys back the lock-prefix cost on the serial path, where the
-/// batched engine spends millions of deposits per evaluation.
-inline void kernel_add(double& target, double value, bool atomic) {
-  if (atomic) {
-    kernel_atomic_add(target, value);
-  } else {
-    target += value;
-  }
-}
 
 /// Inverse kernel denominator: 1/d^Power given d^2, for the r^6 (Eq. 4)
 /// and r^4 (Eq. 3, Coulomb-field) Born integrals.

@@ -21,8 +21,10 @@ bool cpu_has_avx2_fma() {
 }
 
 // Runs the chunks of one plan list: serially in chunk order without a
-// pool (deterministic, the bit-exact configuration), as parallel tasks
-// of one chunk each with a pool. `body(b, e)` processes items [b, e).
+// pool, as parallel tasks of one chunk each with a pool. A chunk owns
+// every accumulator slot it writes (the plan cuts chunks only at owner
+// or target boundaries), so both give the same bits. `body(b, e)`
+// processes items [b, e).
 void run_chunks(parallel::WorkStealingPool* pool,
                 const std::vector<std::uint32_t>& chunks,
                 const std::function<void(std::uint32_t, std::uint32_t)>&
@@ -294,10 +296,6 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
     }
   }
 #endif
-  // Serial execution owns every accumulator slot outright, so deposits
-  // can skip the lock prefix -- on million-item far lists the CAS loop
-  // is the dominant serial cost, not the arithmetic.
-  const bool atomic = pool != nullptr;
   if (use_simd) {
     const BornSoA soa = build_born_soa(trees, mol, surf);
     const auto a_index = trees.atoms.point_index();
@@ -314,7 +312,7 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
                          born_row(soa, q_node.begin, q_node.end,
                                   soa.ax[ai], soa.ay[ai], soa.az[ai],
                                   /*use_simd=*/true);
-                     kernel_add(ws.atom_s[a_index[ai]], acc, atomic);
+                     ws.atom_s[a_index[ai]] += acc;
                    }
                  }
                });
@@ -324,20 +322,18 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
                  for (std::uint32_t i = b; i < e; ++i) {
                    const NodePair p = plan.born_near[i];
                    born_exact_leaf_pair(trees, mol, surf, p.target,
-                                        p.source, ws, atomic);
+                                        p.source, ws);
                  }
                });
   }
 #ifdef OCTGB_SIMD_AVX2
   if (use_simd) {
     // The far list is the bulk of the plan (one monopole deposit per
-    // item), so it is worth a dedicated 4-item-per-pass kernel. The
-    // traversal emits born_far grouped by source q-leaf, so the list is
-    // runs of hundreds of items with a constant source: hoist the six
-    // q-side loads out of each run and vectorize only the target
-    // gathers. The deposit is pure sub/mul/add/div, which the AVX2 row
-    // reproduces lane-exactly -- SIMD far deposits are bit-identical to
-    // the fused engine's, not just within tolerance (born_far_run_avx2).
+    // item), so it is worth a dedicated 4-item-per-pass kernel. Within
+    // an owner the list is grouped by source q-leaf, so it is runs of
+    // items with a constant source: hoist the six q-side loads out of
+    // each run and vectorize only the target gathers. A run's last
+    // n % 4 items take the scalar born_far_deposit (born_far_run_avx2).
     const NodeCenterSoA far = build_node_center_soa(trees);
     static_assert(sizeof(NodePair) == 2 * sizeof(std::uint32_t));
     run_chunks(pool, plan.born_far_chunks,
@@ -354,10 +350,10 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
                        pairs, j - i, far.acx.data(), far.acy.data(),
                        far.acz.data(), far.qcx[src], far.qcy[src],
                        far.qcz[src], far.qwx[src], far.qwy[src],
-                       far.qwz[src], ws.node_s.data(), atomic);
+                       far.qwz[src], ws.node_s.data());
                    for (std::uint32_t k = i + done; k < j; ++k) {
                      born_far_deposit(trees, plan.born_far[k].target, src,
-                                      ws, atomic);
+                                      ws);
                    }
                    i = j;
                  }
@@ -369,7 +365,7 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
                [&](std::uint32_t b, std::uint32_t e) {
                  for (std::uint32_t i = b; i < e; ++i) {
                    const NodePair p = plan.born_far[i];
-                   born_far_deposit(trees, p.target, p.source, ws, atomic);
+                   born_far_deposit(trees, p.target, p.source, ws);
                  }
                });
   }
@@ -407,7 +403,6 @@ EpolResult epol_batched(const octree::Octree& tree,
   std::vector<double> near_acc(leaves.size(), 0.0);
   std::vector<double> far_acc(leaves.size(), 0.0);
   const bool use_simd = mode == SimdMode::kAuto && simd_enabled();
-  const bool atomic = pool != nullptr;
 #if defined(OCTGB_TELEMETRY_ENABLED)
   OCTGB_COUNTER_ADD("gb.epol_near_pairs", plan.epol_near.size());
   OCTGB_COUNTER_ADD("gb.epol_far_pairs", plan.epol_far.size());
@@ -444,7 +439,7 @@ EpolResult epol_batched(const octree::Octree& tree,
                 soa.x.data(), soa.y.data(), soa.z.data(), soa.q.data(),
                 soa.born.data(), u_node.begin, u_node.end, v_node.begin,
                 v_node.end, diagonal, params.approx_math);
-            kernel_add(near_acc[p.target], acc, atomic);
+            near_acc[p.target] += acc;
           }
         });
   } else
@@ -454,12 +449,9 @@ EpolResult epol_batched(const octree::Octree& tree,
                [&](std::uint32_t b, std::uint32_t e) {
                  for (std::uint32_t i = b; i < e; ++i) {
                    const NodePair p = plan.epol_near[i];
-                   kernel_add(
-                       near_acc[p.target],
+                   near_acc[p.target] +=
                        epol_exact_block(tree, mol, born_radii, p.source,
-                                        leaves[p.target],
-                                        params.approx_math),
-                       atomic);
+                                        leaves[p.target], params.approx_math);
                  }
                });
   }
@@ -474,11 +466,9 @@ EpolResult epol_batched(const octree::Octree& tree,
                  // with, so the kernel value matches the fused path's.
                  const double d2 =
                      geom::distance2(u_node.center, v_node.center);
-                 kernel_add(
-                     far_acc[p.target],
+                 far_acc[p.target] +=
                      epol_far_bins(bins, p.source, leaves[p.target], d2,
-                                   params.approx_math, use_simd),
-                     atomic);
+                                   params.approx_math, use_simd);
                }
              });
 

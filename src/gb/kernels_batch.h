@@ -5,9 +5,10 @@
 //
 //  * scalar: replays every work item through the *exported fused-engine
 //    blocks* (born_exact_leaf_pair, born_far_deposit, epol_exact_block,
-//    epol_far_block), so a serial replay is bit-for-bit identical to the
-//    fused evaluators (born_radii_octree, epol_octree) -- same walk
-//    (src/gb/traversal.h), same expression trees, same summation order;
+//    epol_far_block), so a replay, serial or pooled, is bit-for-bit
+//    identical to the fused evaluators (born_radii_octree, epol_octree)
+//    -- same walk (src/gb/traversal.h), same expression trees, same
+//    summation order per accumulator slot;
 //  * SIMD: gathers atoms / q-points once into structure-of-arrays
 //    scratch permuted to Morton order (tree.point_index()), then runs
 //    4-wide AVX2+FMA row kernels over the contiguous leaf ranges. The
@@ -104,9 +105,10 @@ double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
                      bool use_simd);
 
 /// Plan-driven Born radii: replays plan.born_near / plan.born_far into a
-/// workspace and runs the shared PUSH-INTEGRALS-TO-ATOMS sweep. With
-/// SimdMode::kForceScalar (or SIMD unavailable) a serial run reproduces
-/// born_radii_octree bit-for-bit.
+/// workspace and runs the shared PUSH-INTEGRALS-TO-ATOMS sweep. Pooled
+/// runs equal the serial run's bits in either mode (each chunk owns the
+/// slots it writes). With SimdMode::kForceScalar (or SIMD unavailable)
+/// the result reproduces born_radii_octree bit-for-bit.
 BornRadiiResult born_radii_batched(const BornOctrees& trees,
                                    const molecule::Molecule& mol,
                                    const surface::QuadratureSurface& surf,

@@ -255,13 +255,14 @@ std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
                                 const double* acy, const double* acz,
                                 double qcx, double qcy, double qcz,
                                 double qwx, double qwy, double qwz,
-                                double* node_s, bool atomic) {
+                                double* node_s) {
   // Every float op below is an explicit mul/add/div intrinsic in the
-  // same association order as far_deposit's scalar expression -- no
-  // FMA, so each lane's deposit is bit-identical to the fused engine's
-  // and only the (per-target) deposit *order* matters. Targets within
-  // a run are unique (the traversal visits each atom node once per
-  // q-leaf), so the in-order lane scatter cannot alias.
+  // same association order as far_deposit's scalar expression. The
+  // compiler may still contract a mul/add pair into an FMA under
+  // -mfma, so a lane can differ from the scalar deposit in the last
+  // ulp. Targets within a run are unique (the traversal visits each
+  // atom node once per q-leaf), so the in-order lane scatter cannot
+  // alias.
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d qx = _mm256_set1_pd(qcx);
   const __m256d qy = _mm256_set1_pd(qcy);
@@ -291,10 +292,10 @@ std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
     const __m256d inv = _mm256_div_pd(
         one, _mm256_mul_pd(_mm256_mul_pd(d2, d2), d2));
     _mm256_store_pd(terms, _mm256_mul_pd(dot, inv));
-    kernel_add(node_s[t0], terms[0], atomic);
-    kernel_add(node_s[t1], terms[1], atomic);
-    kernel_add(node_s[t2], terms[2], atomic);
-    kernel_add(node_s[t3], terms[3], atomic);
+    node_s[t0] += terms[0];
+    node_s[t1] += terms[1];
+    node_s[t2] += terms[2];
+    node_s[t3] += terms[3];
   }
   return quads;
 }

@@ -20,24 +20,24 @@ double born_row_avx2(const double* qx, const double* qy, const double* qz,
                      double x, double y, double z);
 
 /// Far-field monopole deposits for a *run* of `n` plan items sharing
-/// one source q-leaf (the traversal emits born_far grouped by q-leaf,
-/// so runs are hundreds of items long). `pairs` is the raw NodePair
-/// storage of the run (pairs[2i] = target a-node id); acx/acy/acz are
-/// atom-node centers by node id; qcx..qwz the shared q-leaf center and
-/// weighted normal, broadcast across lanes. Keeping the source fixed
-/// turns six of the nine per-quad gathers into hoisted broadcasts --
-/// the kernel becomes three gathers plus arithmetic. Deposits go into
-/// node_s[target] with kernel_add(..., atomic) using lane arithmetic
-/// identical to far_deposit's scalar expression, so results stay
-/// bit-exact vs the fused path (targets within a run are unique, so
-/// per-slot deposit order is unaffected). Only floor(n/4)*4 items are
-/// processed; the caller runs the tail through born_far_deposit.
+/// one source q-leaf (within a slot owner born_far is grouped by
+/// q-leaf). `pairs` is the raw NodePair storage of the run (pairs[2i] =
+/// target a-node id); acx/acy/acz are atom-node centers by node id;
+/// qcx..qwz the shared q-leaf center and weighted normal, broadcast
+/// across lanes. Keeping the source fixed turns six of the nine
+/// per-quad gathers into hoisted broadcasts -- the kernel becomes three
+/// gathers plus arithmetic. Deposits go into node_s[target] with a
+/// plain `+=` (the caller's chunk owns the slots) using the association
+/// order of far_deposit's scalar expression (targets within a run are
+/// unique, so per-slot deposit order is unaffected). Only
+/// floor(n/4)*4 items are processed; the caller runs the tail through
+/// born_far_deposit.
 std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
                                 std::uint32_t n, const double* acx,
                                 const double* acy, const double* acz,
                                 double qcx, double qcy, double qcz,
                                 double qwx, double qwy, double qwz,
-                                double* node_s, bool atomic);
+                                double* node_s);
 
 /// f_GB row over atoms [ub, ue): sum of q_u * qv / f_GB for the atom at
 /// (px, py, pz) with charge qv, Born radius rv. `approx_math` selects

@@ -7,7 +7,8 @@
 //  * walk_born: APPROX-INTEGRALS (Figure 2). One T_Q leaf against T_A
 //    from the root: far test first, then leaf, then the children.
 //    Visitors: the fused r^6/r^4 integrals, the docking cross-tree
-//    integrals and the interaction-plan builder.
+//    integrals and the interaction-plan builder. A SlotOwner restricts
+//    the walk to one owner's share of T_A (see slot_owners).
 //  * walk_epol: APPROX-EPOL (Figure 3). One target V, given as a bounding
 //    sphere, against T_A from the root: leaf first (leaves are always
 //    exact), then the far test, then the children. Visitors: the fused
@@ -19,6 +20,16 @@
 // The walks fix the visit order, and with it the summation order of
 // every accumulator a visitor feeds, so all engines that share a walk
 // see the pairs in the same sequence.
+//
+// Owner-computes. A walk_born per q-leaf visits each T_A node at most
+// once, so in the serial loop over q-leaves every accumulator slot
+// (node_s of a node, atom_s of an atom) receives its deposits in
+// q-leaf order. slot_owners() splits T_A's slots among disjoint
+// owners; an owner that replays the q-leaves in order, walking only
+// its own nodes, reproduces the serial bits of its slots exactly. The
+// pooled Born phases run one owner per task, with plain `+=` deposits:
+// no atomics, no private buffers, no merge, and the same bits at every
+// worker count.
 #pragma once
 
 #include <cstddef>
@@ -52,22 +63,78 @@ struct EpolFarTest {
   }
 };
 
+/// One owner of T_A's Born accumulator slots. A subtree owner
+/// (cut == 0) holds every node and atom under `root`; the top owner
+/// (cut > 0, root = the tree root) holds the internal nodes shallower
+/// than the cut. The default owner is the whole tree.
+struct SlotOwner {
+  std::uint32_t root = 0;
+  int cut = 0;
+
+  /// True when node `n` of the owner's walk is the owner's to visit.
+  bool visits(const octree::Node& n) const {
+    return cut == 0 || (!n.leaf && n.depth < cut);
+  }
+};
+
+/// The owner-computes split of `atoms`: the top owner first (when the
+/// cut is below the root), then one subtree owner per leaf above the
+/// cut depth and per node at it, in node order. The cut is the
+/// shallowest level holding at least kMinOwners nodes (or the deepest
+/// level), so the split depends on the tree alone, never on a worker
+/// count. Every node and atom has exactly one owner.
+inline std::vector<SlotOwner> slot_owners(const octree::Octree& atoms) {
+  constexpr std::uint32_t kMinOwners = 32;
+  std::vector<SlotOwner> owners;
+  if (atoms.empty()) return owners;
+  const auto level = atoms.level_offset();
+  int cut = 0;
+  while (cut < atoms.height() &&
+         level[static_cast<std::size_t>(cut) + 1] -
+                 level[static_cast<std::size_t>(cut)] <
+             kMinOwners) {
+    ++cut;
+  }
+  if (cut > 0) owners.push_back({atoms.root_index(), cut});
+  // Nodes are stored level by level: [0, level[cut + 1]) is every node
+  // at or above the cut.
+  for (std::uint32_t n = 0; n < level[static_cast<std::size_t>(cut) + 1];
+       ++n) {
+    const octree::Node& node = atoms.node(n);
+    if (node.leaf || node.depth == cut) owners.push_back({n, 0});
+  }
+  return owners;
+}
+
 // Explicit-stack capacity of the single-tree walks: >= 7 * max_depth + 8
 // entries. Explicit rather than recursive because leaf tasks run on
 // scheduler worker stacks shared with deep spawn trees.
 inline constexpr int kWalkStack = 256;
 
 /// Born single-tree walk of T_Q node `q` against `atoms`:
-/// on_far(a, d2) for far nodes, on_near(a) for near leaves.
+/// on_far(a, d2) for far nodes, on_near(a) for near leaves. With an
+/// owner, only the owner's nodes are visited, each exactly when the
+/// whole-tree walk visits it: a subtree owner's walk starts at its
+/// root once every ancestor tests near (a far ancestor takes the
+/// deposit instead), and the top owner stops at the cut.
 template <typename OnFar, typename OnNear>
 void walk_born(const octree::Octree& atoms, const octree::Node& q,
-               BornFarTest far, OnFar&& on_far, OnNear&& on_near) {
+               BornFarTest far, OnFar&& on_far, OnNear&& on_near,
+               const SlotOwner& owner = {}) {
+  for (std::uint32_t p = atoms.node(owner.root).parent;
+       p != octree::Node::kInvalid; p = atoms.node(p).parent) {
+    const octree::Node& anc = atoms.node(p);
+    if (far(anc.radius + q.radius, geom::distance2(anc.center, q.center))) {
+      return;
+    }
+  }
   std::uint32_t stack[kWalkStack];
   int top = 0;
-  stack[top++] = atoms.root_index();
+  stack[top++] = owner.root;
   while (top > 0) {
     const std::uint32_t a = stack[--top];
     const octree::Node& node = atoms.node(a);
+    if (!owner.visits(node)) continue;
     const double d2 = geom::distance2(node.center, q.center);
     if (far(node.radius + q.radius, d2)) {
       on_far(a, d2);
@@ -105,7 +172,7 @@ void walk_epol(const octree::Octree& tree, const geom::Vec3& v_center,
   }
 }
 
-/// Dual-tree walk from (root_a, root_b). A pair is terminal when far
+/// Dual-tree walk from (root_a, tb's root). A pair is terminal when far
 /// (on_far(a, b, d2)) or when both nodes are leaves (on_near(a, b));
 /// otherwise the non-leaf side splits, the larger radius when both are
 /// internal. Visitors return a term; the walk returns their sum.
@@ -118,7 +185,8 @@ void walk_epol(const octree::Octree& tree, const geom::Vec3& v_center,
 template <typename Far, typename OnFar, typename OnNear>
 double walk_dual(const octree::Octree& ta, const octree::Octree& tb,
                  Far far, OnFar&& on_far, OnNear&& on_near,
-                 parallel::WorkStealingPool* pool) {
+                 parallel::WorkStealingPool* pool,
+                 std::uint32_t root_a = 0) {
   constexpr std::size_t kFrontier = 4096;
   using Pair = std::pair<std::uint32_t, std::uint32_t>;
 
@@ -136,7 +204,7 @@ double walk_dual(const octree::Octree& ta, const octree::Octree& tb,
     return 0.0;
   };
 
-  std::vector<Pair> frontier{{ta.root_index(), tb.root_index()}};
+  std::vector<Pair> frontier{{root_a, tb.root_index()}};
   double expanded_sum = 0.0;
   while (!frontier.empty() && frontier.size() < kFrontier) {
     std::vector<Pair> next;

@@ -208,9 +208,9 @@ void PolarizationService::process_batch(std::vector<Pending>&& batch) {
   }
 
   // Phase 1: distinct inputs. Throughput mode parallelizes across
-  // requests (each pipeline serial inside one task -> bit-reproducible
-  // per request); latency mode runs them in turn with the kernels
-  // forking on the pool.
+  // requests (each pipeline serial inside one task); latency mode runs
+  // them in turn with the kernels forking on the pool. Both give the
+  // serial bits.
   auto run_one = [this](Item& item, parallel::WorkStealingPool* pool) {
     try {
       item.resp = compute_one(item.pending.req, item.queue_wait, pool);

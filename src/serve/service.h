@@ -15,12 +15,14 @@
 //  4. records per-stage times into ServiceStats.
 //
 // Parallelism is across requests by default: each request's pipeline
-// runs serially inside one pool task, so a request's energy is
-// bit-identical to a serial gb::compute_gb_energy call no matter how
-// it was batched (the Born accumulation uses atomic adds, so
-// *intra*-request parallelism is not bit-reproducible run to run --
-// see src/gb/born.h). Set ServiceConfig::intra_request_parallelism for
-// latency-critical single-stream workloads with large molecules.
+// runs serially inside one pool task. Set
+// ServiceConfig::intra_request_parallelism for latency-critical
+// single-stream workloads with large molecules: each request's plan
+// build and kernels then fork on the pool. Either way a request's
+// energy and Born radii are bit-identical to a serial
+// gb::compute_gb_energy call, however it was batched: the pooled Born
+// deposits are owner-computes (each accumulator slot written by one
+// task in the serial order, see src/gb/traversal.h).
 //
 // This is the seam later scaling work plugs into: sharding replicates
 // the service per NUMA domain behind a hash router, async backends
@@ -87,8 +89,8 @@ struct ServiceConfig {
   /// reuse on every small-drift request.
   bool rekey_refit = false;
   /// Run each request's own kernels on the pool (latency mode) instead
-  /// of parallelizing across requests (throughput mode, the default --
-  /// and the mode whose energies are bit-reproducible).
+  /// of parallelizing across requests (throughput mode, the default).
+  /// Both modes return the same bits.
   bool intra_request_parallelism = false;
   /// Result sink: invoked once per settled request with the final
   /// Response, right after the request's future is fulfilled. Lets an

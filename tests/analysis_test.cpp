@@ -168,6 +168,29 @@ TEST(ValidatePlanTest, CatchesNearPairReclassifiedAsFar) {
   EXPECT_NE(r.str().find("separation"), std::string::npos) << r.str();
 }
 
+TEST(ValidatePlanTest, CatchesOwnerRunSplitAcrossChunks) {
+  Fixture f(800);
+  // Split one owner's run by hand: cut a chunk between two deposits
+  // into the same T_A node. Both chunks would then write that slot.
+  const auto& items = f.plan.born_far;
+  auto& chunks = f.plan.born_far_chunks;
+  ASSERT_GE(chunks.size(), 2u);
+  std::size_t cut = 0;
+  for (std::size_t j = chunks[0] + 1; j < chunks[1] && cut == 0; ++j) {
+    for (std::size_t i = chunks[0]; i < j; ++i) {
+      if (items[i].target == items[j].target) {
+        cut = j;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(cut, 0u) << "first chunk has no repeated target";
+  chunks.insert(chunks.begin() + 1, static_cast<std::uint32_t>(cut));
+  const Report r = validate_plan(f.trees, f.plan, f.params);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.str().find("written by chunks"), std::string::npos) << r.str();
+}
+
 TEST(ValidatePlanTest, CatchesBrokenChunkTable) {
   Fixture f(400);
   ASSERT_GE(f.plan.born_near_chunks.size(), 1u);

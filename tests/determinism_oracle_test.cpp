@@ -29,6 +29,7 @@
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
 #include "src/gb/interaction_lists.h"
+#include "src/gb/kernels_batch.h"
 #include "src/gb/naive.h"
 #include "src/load/shard_sim.h"
 #include "src/load/sim.h"
@@ -36,6 +37,7 @@
 #include "src/molecule/generators.h"
 #include "src/octree/octree.h"
 #include "src/parallel/pool.h"
+#include "src/runtime/drivers.h"
 #include "src/serve/content_hash.h"
 #include "src/serve/service.h"
 #include "src/surface/quadrature.h"
@@ -236,7 +238,8 @@ TEST(DeterminismOracleTest, PlanConstructionBitIdenticalAcrossWorkerCounts) {
 // fix (parallel::deterministic_sum) reproduces the serial left-to-
 // right association exactly; this test pins that down. Born radii are
 // fed in fixed (computed once, serially) to isolate the E_pol
-// reduction from the Born phase's sanctioned atomic deposits.
+// reduction from the Born phase (covered by the production-path cases
+// below).
 TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
   const auto mol = molecule::generate_protein(600, 53);
   const auto surf = surface::build_surface(mol);
@@ -271,6 +274,69 @@ TEST(DeterminismOracleTest, EpolBitIdenticalAcrossWorkerCounts) {
             << " serial=" << serial << " pooled=" << pooled;
       }
     }
+  }
+}
+
+// ------------------------------------------ production GB path (pooled)
+
+std::uint64_t digest_radii(const std::vector<double>& radii) {
+  Digest d;
+  d.u64(radii.size());
+  for (const double r : radii) d.f64(r);
+  return d.value();
+}
+
+// The engine requests actually run: a cached plan replayed by the
+// pooled batched kernels, at a size where every chunk table really
+// forks. Owner-computes deposits make the Born radii and E_pol equal
+// the serial replay's bits at any worker count, in both engines.
+TEST(DeterminismOracleTest, PooledBatchedKernelsBitIdenticalAt20k) {
+  const auto mol = molecule::generate_protein(20000, 3);
+  parallel::WorkStealingPool build_pool(4);
+  const auto surf = surface::build_surface(mol, {}, &build_pool);
+  const auto trees = gb::build_born_octrees(mol, surf, {}, &build_pool);
+  const gb::ApproxParams approx;
+  const auto plan = gb::build_interaction_plan(trees, approx, &build_pool);
+
+  for (const gb::SimdMode mode :
+       {gb::SimdMode::kAuto, gb::SimdMode::kForceScalar}) {
+    const auto born = gb::born_radii_batched(trees, mol, surf, plan, approx,
+                                             nullptr, mode);
+    const double epol = gb::epol_batched(trees.atoms, mol, born.radii, plan,
+                                         approx, {}, nullptr, mode)
+                            .energy;
+    const std::uint64_t want_born = digest_radii(born.radii);
+    for (const int workers : {1, 2, 4, 8}) {
+      parallel::WorkStealingPool pool(workers);
+      const auto pooled = gb::born_radii_batched(trees, mol, surf, plan,
+                                                 approx, &pool, mode);
+      EXPECT_EQ(digest_radii(pooled.radii), want_born)
+          << "mode=" << static_cast<int>(mode) << " workers=" << workers;
+      const double pooled_epol =
+          gb::epol_batched(trees.atoms, mol, pooled.radii, plan, approx, {},
+                           &pool, mode)
+              .energy;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled_epol),
+                std::bit_cast<std::uint64_t>(epol))
+          << "mode=" << static_cast<int>(mode) << " workers=" << workers
+          << " serial=" << epol << " pooled=" << pooled_epol;
+    }
+  }
+}
+
+// The paper's hybrid runtime: 2 simmpi ranks x 2 workers, each rank's
+// APPROX-INTEGRALS pooled. Repeated solves must agree bit for bit.
+TEST(DeterminismOracleTest, HybridOctMpiCilkSolvesBitIdentical) {
+  const auto mol = molecule::generate_capsid(20000, 11);
+  const runtime::DriverResult first = runtime::run_oct_mpi_cilk(mol, 2, 2);
+  const std::uint64_t want_born = digest_radii(first.born_radii);
+  for (int rep = 0; rep < 2; ++rep) {
+    const runtime::DriverResult again = runtime::run_oct_mpi_cilk(mol, 2, 2);
+    EXPECT_EQ(digest_radii(again.born_radii), want_born) << "rep=" << rep;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.energy),
+              std::bit_cast<std::uint64_t>(first.energy))
+        << "rep=" << rep << " first=" << first.energy
+        << " again=" << again.energy;
   }
 }
 
@@ -350,7 +416,7 @@ TEST(DeterminismOracleTest, ShardSimDigestStableWithMigrationFiring) {
 TEST(DeterminismOracleTest, CodecEntryRoundTripDigestStable) {
   const auto build_frame = [](std::uint64_t seed) {
     serve::ServiceConfig config;
-    config.num_threads = 1;  // keep the GB deposit order serial
+    config.num_threads = 1;
     serve::PolarizationService service(config);
     serve::Request req;
     req.id = 9;

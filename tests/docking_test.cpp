@@ -5,7 +5,9 @@
 // matches a from-scratch computation on the identical union surface.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "src/docking/pose_scorer.h"
@@ -208,9 +210,8 @@ TEST(PoseScorerTest, CloseContactPerturbsTheEnergy) {
 
 TEST(PoseScorerTest, PooledPrecomputationMatchesSerial) {
   // The constructor builds both surfaces and octrees on the scorer's
-  // pool. Surfaces and trees are bit-identical at any worker count; the
-  // pooled Born integrals deposit in completion order, so energies are
-  // compared to a relative 1e-12.
+  // pool, and the pooled Born integrals run one task per slot owner, so
+  // every energy equals the serial scorer's bits.
   const auto receptor = molecule::generate_protein(500, 47);
   const auto ligand = molecule::generate_ligand(30, 49);
   const PoseScorer serial(receptor, ligand);
@@ -219,12 +220,11 @@ TEST(PoseScorerTest, PooledPrecomputationMatchesSerial) {
   parallel::WorkStealingPool pool(4);
   const PoseScorer pooled(receptor, ligand, {}, &pool);
   EXPECT_EQ(pooled.num_qpoints(), serial.num_qpoints());
-  EXPECT_NEAR(pooled.receptor_energy(), serial.receptor_energy(),
-              1e-12 * std::abs(serial.receptor_energy()));
-  EXPECT_NEAR(pooled.ligand_energy(), serial.ligand_energy(),
-              1e-12 * std::abs(serial.ligand_energy()));
-  EXPECT_NEAR(pooled.score(pose).complex_energy, want.complex_energy,
-              1e-12 * std::abs(want.complex_energy));
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(pooled.receptor_energy()), bits(serial.receptor_energy()));
+  EXPECT_EQ(bits(pooled.ligand_energy()), bits(serial.ligand_energy()));
+  EXPECT_EQ(bits(pooled.score(pose).complex_energy),
+            bits(want.complex_energy));
 }
 
 TEST(PoseScorerTest, ScoreIsDeterministic) {

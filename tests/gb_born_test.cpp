@@ -3,10 +3,14 @@
 // the naive reference with eps -> 0 convergence.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/gb/born.h"
 #include "src/gb/naive.h"
+#include "src/gb/traversal.h"
 #include "src/molecule/generators.h"
 #include "src/surface/quadrature.h"
 
@@ -176,16 +180,81 @@ TEST(OctreeBornTest, DualTreeAgreesWithSingleTree) {
 }
 
 TEST(OctreeBornTest, ParallelMatchesSerialExactly) {
+  // Owner-computes deposits: every accumulator slot sees the serial
+  // q-leaf order, so pooled radii equal the serial bits.
   const auto mol = molecule::generate_protein(1500, 88);
   const auto surf = surface::build_surface(mol);
   const auto trees = build_born_octrees(mol, surf);
   ApproxParams params;
   const auto serial = born_radii_octree(trees, mol, surf, params);
+  const auto serial_r4 = born_radii_octree_r4(trees, mol, surf, params);
   parallel::WorkStealingPool pool(4);
   const auto par = born_radii_octree(trees, mol, surf, params, &pool);
+  const auto par_r4 = born_radii_octree_r4(trees, mol, surf, params, &pool);
   for (std::size_t i = 0; i < mol.size(); ++i) {
-    // Atomic accumulation reorders additions; tolerance is rounding-only.
-    EXPECT_NEAR(par.radii[i], serial.radii[i], 1e-9 * serial.radii[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(par.radii[i]),
+              std::bit_cast<std::uint64_t>(serial.radii[i]))
+        << "atom " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(par_r4.radii[i]),
+              std::bit_cast<std::uint64_t>(serial_r4.radii[i]))
+        << "atom " << i;
+  }
+}
+
+TEST(OctreeBornTest, DualTreeBitIdenticalAcrossWorkerCounts) {
+  const auto mol = molecule::generate_protein(1500, 89);
+  const auto surf = surface::build_surface(mol);
+  const auto trees = build_born_octrees(mol, surf);
+  ApproxParams params;
+  const auto serial = born_radii_dualtree(trees, mol, surf, params);
+  for (const int workers : {1, 2, 4, 8}) {
+    parallel::WorkStealingPool pool(workers);
+    const auto par = born_radii_dualtree(trees, mol, surf, params, &pool);
+    ASSERT_EQ(par.radii.size(), serial.radii.size());
+    for (std::size_t i = 0; i < mol.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(par.radii[i]),
+                std::bit_cast<std::uint64_t>(serial.radii[i]))
+          << "workers=" << workers << " atom " << i;
+    }
+  }
+}
+
+TEST(OctreeBornTest, SlotOwnersPartitionNodesAndAtoms) {
+  for (const std::size_t atoms : {1u, 40u, 2000u}) {
+    const auto mol = molecule::generate_protein(atoms, 5);
+    const octree::Octree tree(mol.positions());
+    const std::vector<SlotOwner> owners = slot_owners(tree);
+    ASSERT_FALSE(owners.empty());
+    std::vector<int> node_owners(tree.num_nodes(), 0);
+    std::vector<int> atom_owners(tree.num_points(), 0);
+    for (const SlotOwner& o : owners) {
+      if (o.cut != 0) {
+        ASSERT_EQ(o.root, tree.root_index()) << "top owner walks from root";
+        for (std::size_t n = 0; n < tree.num_nodes(); ++n) {
+          if (o.visits(tree.node(n))) ++node_owners[n];
+        }
+        continue;
+      }
+      std::vector<std::uint32_t> stack{o.root};
+      while (!stack.empty()) {
+        const octree::Node& node = tree.node(stack.back());
+        ++node_owners[stack.back()];
+        stack.pop_back();
+        if (node.leaf) {
+          for (std::uint32_t i = node.begin; i < node.end; ++i) {
+            ++atom_owners[i];
+          }
+        }
+        for (const auto c : node.children) stack.push_back(c);
+      }
+    }
+    // Leaves above the cut hold atoms too: they are subtree owners.
+    for (std::size_t n = 0; n < tree.num_nodes(); ++n) {
+      EXPECT_EQ(node_owners[n], 1) << atoms << " atoms, node " << n;
+    }
+    for (std::size_t i = 0; i < tree.num_points(); ++i) {
+      EXPECT_EQ(atom_owners[i], 1) << atoms << " atoms, point " << i;
+    }
   }
 }
 

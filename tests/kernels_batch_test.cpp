@@ -145,24 +145,31 @@ TEST_P(BatchedVsFused, SimdWithinTightTolerance) {
 }
 
 TEST_P(BatchedVsFused, PooledExecutionMatchesSerial) {
+  // Chunks own their accumulator slots, so a pooled replay deposits in
+  // the serial order: same bits at any worker count, in either engine.
   const Fixture f(800, GetParam());
-  parallel::WorkStealingPool pool(4);
-  const auto serial =
-      born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params,
-                         nullptr, SimdMode::kForceScalar);
-  const auto pooled =
-      born_radii_batched(f.trees, f.mol, f.surf, f.plan, f.params, &pool,
-                         SimdMode::kForceScalar);
-  for (std::size_t a = 0; a < serial.radii.size(); ++a) {
-    EXPECT_LT(rel_diff(pooled.radii[a], serial.radii[a]), 1e-12);
+  for (const SimdMode mode : {SimdMode::kForceScalar, SimdMode::kAuto}) {
+    const auto serial = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                           f.params, nullptr, mode);
+    const auto e_serial =
+        epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
+                     {}, nullptr, mode);
+    for (const int workers : {2, 4}) {
+      parallel::WorkStealingPool pool(workers);
+      const auto pooled = born_radii_batched(f.trees, f.mol, f.surf, f.plan,
+                                             f.params, &pool, mode);
+      for (std::size_t a = 0; a < serial.radii.size(); ++a) {
+        ASSERT_EQ(bits(pooled.radii[a]), bits(serial.radii[a]))
+            << "mode=" << static_cast<int>(mode) << " workers=" << workers
+            << " atom " << a;
+      }
+      const auto e_pooled =
+          epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
+                       {}, &pool, mode);
+      EXPECT_EQ(bits(e_pooled.energy), bits(e_serial.energy))
+          << "mode=" << static_cast<int>(mode) << " workers=" << workers;
+    }
   }
-  const auto e_serial =
-      epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
-                   {}, nullptr, SimdMode::kForceScalar);
-  const auto e_pooled =
-      epol_batched(f.trees.atoms, f.mol, serial.radii, f.plan, f.params,
-                   {}, &pool, SimdMode::kForceScalar);
-  EXPECT_LT(rel_diff(e_pooled.energy, e_serial.energy), 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(MathPolicies, BatchedVsFused,

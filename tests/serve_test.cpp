@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <barrier>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -259,6 +261,32 @@ TEST(ServeTest, BornRadiiReturnedFromColdAndCachedPaths) {
 
   const gb::GBResult driver = gb::compute_gb_energy(mol);
   EXPECT_EQ(cold.born_radii, driver.born_radii);
+}
+
+TEST(ServeTest, IntraRequestParallelismBitIdenticalToSerialDriver) {
+  // Latency mode forks each request's plan build and kernels on the
+  // pool. Owner-computes deposits make that reproduce the serial
+  // one-shot driver bit for bit, radii included.
+  const auto mol = molecule::generate_protein(3000, 27);
+  serve::ServiceConfig cfg = test_config();
+  cfg.num_threads = 4;
+  cfg.intra_request_parallelism = true;
+  serve::PolarizationService svc(cfg);
+  const auto resp =
+      svc.serve_now(make_request(1, mol, serve::Tier::kExact, true));
+  ASSERT_EQ(resp.status, serve::Status::kOk);
+  ASSERT_EQ(resp.path, serve::Path::kColdBuild);
+
+  const gb::GBResult driver = gb::compute_gb_energy(mol);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(resp.energy),
+            std::bit_cast<std::uint64_t>(driver.energy))
+      << "served " << resp.energy << " driver " << driver.energy;
+  ASSERT_EQ(resp.born_radii.size(), driver.born_radii.size());
+  for (std::size_t a = 0; a < mol.size(); ++a) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(resp.born_radii[a]),
+              std::bit_cast<std::uint64_t>(driver.born_radii[a]))
+        << "atom " << a;
+  }
 }
 
 TEST(ServeTest, BatchResultsBitIdenticalToSequentialRuns) {
