@@ -15,7 +15,8 @@
 // legitimately changes).
 //
 // The GB rows cover the path requests run: pooled batched kernels over
-// a 20k-atom plan (SIMD and scalar engines), and repeated OCT_MPI+CILK
+// a 20k-atom plan (SIMD and scalar engines), fused single-tree E_pol
+// equal to the kAuto replay of that plan, and repeated OCT_MPI+CILK
 // solves of a 20k-atom capsid on 2 ranks x 2 workers.
 #include <bit>
 #include <cstdint>
@@ -84,6 +85,7 @@ std::uint64_t digest_plan(const gb::InteractionPlan& plan) {
     d.u64(list->size());
     for (const gb::NodePair& p : *list) d.u32(p.target).u32(p.source);
   }
+  d.span_u<std::uint8_t>(plan.epol_near_weight);
   return d.value();
 }
 
@@ -218,12 +220,16 @@ struct GbWorld {
   surface::QuadratureSurface surf;
   gb::BornOctrees trees;
   gb::InteractionPlan plan;
+  std::vector<double> born;  // kAuto replay, fixed input of the E_pol row
 
   GbWorld() {
     parallel::WorkStealingPool pool(4);
     surf = surface::build_surface(mol, {}, &pool);
     trees = gb::build_born_octrees(mol, surf, {}, &pool);
     plan = gb::build_interaction_plan(trees, gb::ApproxParams{}, &pool);
+    born = gb::born_radii_batched(trees, mol, surf, plan, gb::ApproxParams{},
+                                  &pool)
+               .radii;
   }
 };
 
@@ -254,6 +260,30 @@ std::uint64_t probe_batched_auto(int workers) {
 
 std::uint64_t probe_batched_scalar(int workers) {
   return batched_digest(workers, gb::SimdMode::kForceScalar);
+}
+
+// Fused single-tree E_pol against the kAuto replay of the 20k plan, on
+// fixed Born radii. Both run the same kernels over the same pairs in
+// the same order, so they must agree bit for bit at every worker count;
+// a mismatch folds the worker count into the digest, so the row
+// diverges.
+std::uint64_t probe_epol_fused_20k(int workers) {
+  GbWorld& w = gb_world();
+  parallel::WorkStealingPool pool(workers == 0 ? 1 : workers);
+  parallel::WorkStealingPool* p = maybe_pool(workers, pool);
+  const gb::ApproxParams approx;
+  const double fused =
+      gb::epol_octree(w.trees.atoms, w.mol, w.born, approx, {}, p).energy;
+  const double batched = gb::epol_batched(w.trees.atoms, w.mol, w.born,
+                                          w.plan, approx, {}, p)
+                             .energy;
+  Digest d;
+  d.f64(fused);
+  if (std::bit_cast<std::uint64_t>(fused) !=
+      std::bit_cast<std::uint64_t>(batched)) {
+    d.i64(workers + 1);
+  }
+  return d.value();
 }
 
 std::uint64_t probe_oct_mpi_cilk(int workers) {
@@ -309,6 +339,7 @@ constexpr Probe kProbes[] = {
     {"epol_energy", probe_epol},
     {"born_epol_batched_simd", probe_batched_auto},
     {"born_epol_batched_scalar", probe_batched_scalar},
+    {"epol_fused_eq_batched_20k", probe_epol_fused_20k},
     {"oct_mpi_cilk_capsid", probe_oct_mpi_cilk},
     {"load_sim", probe_load_sim},
     {"shard_sim", probe_shard_sim},

@@ -10,18 +10,25 @@
 // finding (a pair dropped or double-counted, a far pair violating the
 // separation criterion, a node range leak...) aborts: the validators are
 // the oracle, the fuzzer searches for geometry that breaks the builders.
+// Every plan then makes a codec round trip inside a cache entry: the
+// decoded plan must equal the built one list for list (E_pol near weights
+// included), and a frame whose plan carries a weight other than 1 or 2
+// must be rejected with a typed CodecError.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "src/analysis/validate.h"
+#include "src/cluster/codec.h"
 #include "src/gb/born.h"
 #include "src/gb/interaction_lists.h"
 #include "src/gb/types.h"
 #include "src/molecule/molecule.h"
 #include "src/octree/octree.h"
+#include "src/serve/structure_cache.h"
 #include "src/surface/quadrature.h"
 
 namespace {
@@ -93,5 +100,47 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       octgb::gb::build_interaction_plan(trees, aparams, nullptr);
   report = octgb::analysis::validate_plan(trees, plan, aparams);
   if (!report.ok()) die("interaction plan", report.str());
+
+  // Codec round trip of the plan inside a cache entry.
+  octgb::serve::CacheEntry entry;
+  entry.positions.assign(mol.positions().begin(), mol.positions().end());
+  entry.surf = std::make_shared<const octgb::surface::QuadratureSurface>(surf);
+  entry.trees = trees;
+  entry.plan = std::make_shared<const octgb::gb::InteractionPlan>(plan);
+  entry.born_radii.assign(mol.size(), 1.0);
+  const auto decoded =
+      octgb::cluster::decode_entry(octgb::cluster::encode_entry(entry));
+  const octgb::gb::InteractionPlan& back = *decoded->plan;
+  const auto same = [](const std::vector<octgb::gb::NodePair>& a,
+                       const std::vector<octgb::gb::NodePair>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].target != b[i].target || a[i].source != b[i].source) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!same(back.born_near, plan.born_near) ||
+      !same(back.born_far, plan.born_far) ||
+      !same(back.epol_near, plan.epol_near) ||
+      !same(back.epol_far, plan.epol_far) ||
+      back.epol_near_weight != plan.epol_near_weight ||
+      back.epol_near_chunks != plan.epol_near_chunks) {
+    die("plan codec", "decoded plan differs from the encoded one");
+  }
+  if (!plan.epol_near_weight.empty()) {
+    auto bad = std::make_shared<octgb::gb::InteractionPlan>(plan);
+    bad->epol_near_weight[bs.next() % bad->epol_near_weight.size()] =
+        static_cast<std::uint8_t>(3 + bs.next() % 253);
+    entry.plan = bad;
+    bool rejected = false;
+    try {
+      octgb::cluster::decode_entry(octgb::cluster::encode_entry(entry));
+    } catch (const octgb::cluster::CodecError&) {
+      rejected = true;
+    }
+    if (!rejected) die("plan codec", "weight outside {1, 2} was accepted");
+  }
   return 0;
 }

@@ -114,12 +114,16 @@ run_simd() {
   echo "--> kernels_batch_test (SIMD build)"
   build/tests/kernels_batch_test --gtest_brief=1
   # OCTGB_SIMD=OFF strips the AVX2 TU entirely; the scalar fallback
-  # must pass the identical equivalence suite.
+  # must pass the identical equivalence suite. The fused E_pol engines
+  # dispatch to the same kernels, so gb_epol_test runs there too.
   cmake -B build-nosimd -S . -DOCTGB_SIMD=OFF \
     -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-nosimd -j "$JOBS" --target kernels_batch_test
+  cmake --build build-nosimd -j "$JOBS" --target kernels_batch_test \
+    gb_epol_test
   echo "--> kernels_batch_test (no-SIMD build)"
   build-nosimd/tests/kernels_batch_test --gtest_brief=1
+  echo "--> gb_epol_test (no-SIMD build)"
+  build-nosimd/tests/gb_epol_test --gtest_brief=1
 }
 
 run_lint() {

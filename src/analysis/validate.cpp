@@ -480,13 +480,38 @@ Report validate_plan(const gb::BornOctrees& trees,
 
   // ---- E_pol phase: source ordinal of leaf v, items target T_A
   // nodes u. Near items are leaves (classified before the criterion,
-  // as in Figure 3); far items are internal nodes passing it. ----
+  // as in Figure 3); far items are internal nodes passing it. A
+  // weight-2 near item also covers its mirror (target u, source v). ----
   {
     const double far_mult = 1.0 + 2.0 / params.eps_epol;
     const auto a_leaves = at.leaves();
+    // Leaf `to` is reached from the sphere of leaf `from`: no proper
+    // ancestor of `to` satisfies the separation against that sphere.
+    const auto reaches = [&](std::uint32_t from, std::uint32_t to) {
+      const octree::Node& f = at.node(from);
+      for (std::uint32_t p = at.node(to).parent; p != octree::Node::kInvalid;
+           p = at.node(p).parent) {
+        const octree::Node& anc = at.node(p);
+        const double s = (anc.radius + f.radius) * far_mult;
+        const double d2 = geom::distance2(anc.center, f.center);
+        if (d2 > s * s && d2 > 0.0) return false;
+      }
+      return true;
+    };
+    if (plan.epol_near_weight.size() != plan.epol_near.size()) {
+      rep.fail("plan[epol_near]: %zu weights for %zu pairs",
+               plan.epol_near_weight.size(), plan.epol_near.size());
+      return rep;
+    }
+    std::vector<std::uint32_t> ordinal(at.num_nodes(),
+                                       octree::Node::kInvalid);
+    for (std::uint32_t ord = 0; ord < a_leaves.size(); ++ord) {
+      ordinal[a_leaves[ord]] = ord;
+    }
     std::unordered_map<std::uint32_t, std::unordered_map<std::uint32_t, int>>
         by_vleaf;
-    for (const gb::NodePair& p : plan.epol_near) {
+    for (std::size_t i = 0; i < plan.epol_near.size(); ++i) {
+      const gb::NodePair& p = plan.epol_near[i];
       if (p.target >= a_leaves.size() || p.source >= at.num_nodes()) {
         rep.fail("plan[epol_near]: pair (%u,%u) out of range", p.target,
                  p.source);
@@ -494,8 +519,37 @@ Report validate_plan(const gb::BornOctrees& trees,
       }
       if (!at.node(p.source).leaf) {
         rep.fail("plan[epol_near]: source %u is not a leaf", p.source);
+        continue;
       }
       ++by_vleaf[p.target][p.source];
+      const std::uint32_t v = a_leaves[p.target];
+      const unsigned w = plan.epol_near_weight[i];
+      const bool mutual = reaches(p.source, v) && reaches(v, p.source);
+      if (p.source == v) {
+        if (w != 2) {
+          rep.fail("plan[epol_near]: diagonal item %u has weight %u",
+                   p.target, w);
+        }
+      } else if (w == 2) {
+        if (!mutual) {
+          rep.fail("plan[epol_near]: weight-2 pair (%u,%u) is not mutual",
+                   p.target, p.source);
+        } else if (!(at.node(p.source).begin < at.node(v).begin)) {
+          rep.fail("plan[epol_near]: weight-2 pair (%u,%u) is not held "
+                   "by its higher-ordinal target",
+                   p.target, p.source);
+        }
+        ++by_vleaf[ordinal[p.source]][v];  // the mirror it stands for
+      } else if (w == 1) {
+        if (mutual) {
+          rep.fail("plan[epol_near]: weight-1 pair (%u,%u) is mutual "
+                   "(must be held once with weight 2)",
+                   p.target, p.source);
+        }
+      } else {
+        rep.fail("plan[epol_near]: pair (%u,%u) has weight %u", p.target,
+                 p.source, w);
+      }
     }
     for (const gb::NodePair& p : plan.epol_far) {
       if (p.target >= a_leaves.size() || p.source >= at.num_nodes()) {

@@ -70,6 +70,11 @@ Report validate_born_octrees(const gb::BornOctrees& trees,
 /// tables start at 0, end at the list size and increase monotonically;
 /// and no accumulator target appears in two chunks of one list (the
 /// executor's plain-`+=` deposits rely on this chunk ownership).
+/// E_pol near weights: one per item; a diagonal item has weight 2; an
+/// off-diagonal weight-2 item is mutual (each leaf reaches the other
+/// through non-far ancestors), sits at its higher-ordinal target and
+/// covers its mirror, which must then be absent (coverage counts it);
+/// a weight-1 off-diagonal item is one-way.
 Report validate_plan(const gb::BornOctrees& trees,
                      const gb::InteractionPlan& plan,
                      const gb::ApproxParams& params);

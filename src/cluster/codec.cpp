@@ -5,7 +5,7 @@
 //  * multi-byte fields are written in the host's native byte order --
 //    the runtime is rank-threads in one process, and the version field
 //    guards any future change of that decision;
-//  * vectors of padding-free PODs (u32/u64/double/Vec3/NodePair) are
+//  * vectors of padding-free PODs (u8/u32/u64/double/Vec3/NodePair) are
 //    bulk-copied; octree::Node contains tail padding and is therefore
 //    written field by field, so encoded frames never contain
 //    indeterminate padding bytes and byte-for-byte frame comparisons
@@ -92,7 +92,7 @@ class Writer {
   }
 
   /// Length-prefixed bulk copy. Only for PODs with no padding bytes --
-  /// every instantiation below is one of u32/u64/double/Vec3/NodePair.
+  /// every instantiation below is one of u8/u32/u64/double/Vec3/NodePair.
   template <typename T>
   void pod_span(std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -552,6 +552,24 @@ void check_pairs(const std::vector<gb::NodePair>& pairs,
   }
 }
 
+// E_pol near weights: one per epol_near item, each 1 (one-way pair) or
+// 2 (mutual pair held once, or a diagonal block).
+void check_weights(const std::vector<std::uint8_t>& weights,
+                   std::size_t list_size) {
+  if (weights.size() != list_size) {
+    fail(CodecError::Kind::kCorruptField,
+         "epol_near weights: " + std::to_string(weights.size()) +
+             " weights for " + std::to_string(list_size) + " pairs");
+  }
+  for (const std::uint8_t w : weights) {
+    if (w != 1 && w != 2) {
+      fail(CodecError::Kind::kCorruptField,
+           "epol_near weights: weight " + std::to_string(w) +
+               " is neither 1 nor 2");
+    }
+  }
+}
+
 void check_chunks(const std::vector<std::uint32_t>& chunks,
                   std::size_t list_size, const char* which) {
   for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -568,6 +586,7 @@ void write_plan(Writer& w, const gb::InteractionPlan* plan) {
   write_pairs(w, plan->born_near);
   write_pairs(w, plan->born_far);
   write_pairs(w, plan->epol_near);
+  w.pod_span(std::span<const std::uint8_t>(plan->epol_near_weight));
   write_pairs(w, plan->epol_far);
   w.pod_span(std::span<const std::uint32_t>(plan->born_near_chunks));
   w.pod_span(std::span<const std::uint32_t>(plan->born_far_chunks));
@@ -582,6 +601,7 @@ std::shared_ptr<const gb::InteractionPlan> read_plan(
   plan->born_near = r.pod_vec<gb::NodePair>("born_near pairs");
   plan->born_far = r.pod_vec<gb::NodePair>("born_far pairs");
   plan->epol_near = r.pod_vec<gb::NodePair>("epol_near pairs");
+  plan->epol_near_weight = r.pod_vec<std::uint8_t>("epol_near weights");
   plan->epol_far = r.pod_vec<gb::NodePair>("epol_far pairs");
   plan->born_near_chunks = r.pod_vec<std::uint32_t>("born_near chunks");
   plan->born_far_chunks = r.pod_vec<std::uint32_t>("born_far chunks");
@@ -593,6 +613,7 @@ std::shared_ptr<const gb::InteractionPlan> read_plan(
   check_pairs(plan->born_near, a_nodes, q_nodes, "born_near");
   check_pairs(plan->born_far, a_nodes, q_nodes, "born_far");
   check_pairs(plan->epol_near, a_leaves, a_nodes, "epol_near");
+  check_weights(plan->epol_near_weight, plan->epol_near.size());
   check_pairs(plan->epol_far, a_leaves, a_nodes, "epol_far");
   check_chunks(plan->born_near_chunks, plan->born_near.size(), "born_near");
   check_chunks(plan->born_far_chunks, plan->born_far.size(), "born_far");

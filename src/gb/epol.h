@@ -16,6 +16,16 @@
 // Summing over all leaves V yields exactly the ordered double sum of
 // Eq. 2; the driver multiplies by -tau/2 * k_coulomb. The walk itself is
 // walk_epol in src/gb/traversal.h (walk_dual for epol_dualtree).
+//
+// The STILL kernel is symmetric, so a leaf pair that is near in both
+// walks (u reaches v and v reaches u) is evaluated once, with weight 2,
+// by the target with the higher leaf ordinal, and each diagonal block
+// once as twice its upper triangle plus the self terms
+// (epol_near_weight in src/gb/traversal.h). The set of exact and
+// approximated atom pairs is the one of Figure 3; only the summation
+// order differs. The kernels are epol_near_block and epol_far_bins in
+// src/gb/kernels_batch.h, shared with the plan replay, so epol_octree
+// equals epol_batched (SimdMode::kAuto) bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -63,28 +73,12 @@ ChargeBins build_charge_bins(const octree::Octree& tree,
                              std::span<const double> born_radii,
                              double eps, int max_bins = 256);
 
-/// Exact STILL-kernel block of leaf V against leaf U (all ordered pairs,
-/// including the u == v self terms when the two leaves coincide). This
-/// is the identical code path the fused evaluator runs for a near pair;
-/// the batched plan executor's scalar engine replays plans through it so
-/// the two engines agree bit-for-bit.
-double epol_exact_block(const octree::Octree& tree,
-                        const molecule::Molecule& mol,
-                        std::span<const double> born_radii,
-                        std::uint32_t u_leaf, std::uint32_t v_leaf,
-                        bool approx_math);
-
-/// Bin-vs-bin far-field kernel of one (U, V) node pair at center
-/// distance^2 d2: sum over non-empty bin combinations of
-/// q_U[i] q_V[j] / f_GB(R_i, R_j). This is the exact function the fused
-/// evaluator runs inline; the batched plan executor calls it for
-/// its scalar far path so the two engines agree bit-for-bit.
-double epol_far_block(const ChargeBins& bins, std::uint32_t u_node,
-                      std::uint32_t v_node, double d2, bool approx_math);
-
 /// Raw kernel sum (no -tau/2 k prefactor) of the leaves
-/// [leaf_begin, leaf_end) of `tree.leaves()` against the whole tree.
-/// Parallelizes over leaves when `pool` is given.
+/// [leaf_begin, leaf_end) of `tree.leaves()` against the whole tree,
+/// under the symmetric near rule: a mutual pair counts (twice) at its
+/// higher-ordinal target, so disjoint leaf ranges still sum to the whole.
+/// Parallelizes over leaves when `pool` is given; the same bits at any
+/// worker count.
 double approx_epol(const octree::Octree& tree,
                    const molecule::Molecule& mol, const ChargeBins& bins,
                    std::span<const double> born_radii,
@@ -102,8 +96,9 @@ EpolResult epol_octree(const octree::Octree& tree,
 
 /// Dual-tree variant used by OCT_CILK: simultaneous traversal starting
 /// from (root, root); ordered pairs partitioned into far boxes and
-/// leaf-leaf blocks. Same result class, different traversal order; the
-/// energy is bit-identical at any worker count, serial included.
+/// leaf-leaf blocks (weight 1; a diagonal block takes the symmetric
+/// kernel). Same result class, different traversal order; the energy is
+/// bit-identical at any worker count, serial included.
 EpolResult epol_dualtree(const octree::Octree& tree,
                          const molecule::Molecule& mol,
                          std::span<const double> born_radii,

@@ -14,12 +14,16 @@
 //  * Born near pairs  (T_A leaf,  T_Q leaf)  -> exact r^6 blocks,
 //  * Born far pairs   (T_A node,  T_Q leaf)  -> monopole deposits,
 //  * E_pol near pairs (T_A leaf u, T_A leaf v) -> exact f_GB blocks,
+//    each with a weight: a pair near in both walks is stored once, with
+//    weight 2, at the target with the higher leaf ordinal, its mirror
+//    dropped (epol_near_weight in src/gb/traversal.h),
 //  * E_pol far pairs  (T_A node u, T_A leaf v) -> bin-vs-bin blocks.
 //
 // Phase 2 (src/gb/kernels_batch.h) replays the lists over SoA scratch
 // arrays with SIMD-batched kernels. Every accumulator slot receives its
-// items in the fused evaluators' order, so a scalar replay reproduces
-// the fused results bit-for-bit. The Born lists are grouped by slot
+// items in the fused evaluators' order, so a replay reproduces the fused
+// results bit for bit (Born with the scalar engine, E_pol with the SIMD
+// choice the fused engines make, SimdMode::kAuto). The Born lists are grouped by slot
 // owner (slot_owners in src/gb/traversal.h) and the E_pol lists by
 // ranges of target leaves; chunk offsets, balanced by a per-item cost
 // model, cut only between groups. A chunk therefore owns every slot it writes,
@@ -62,6 +66,11 @@ struct InteractionPlan {
   std::vector<NodePair> born_far;
   /// target = ordinal of leaf v in tree.leaves(), source = T_A leaf u id.
   std::vector<NodePair> epol_near;
+  /// Weight of each epol_near item, index for index: 1 for a one-way
+  /// pair, 2 for a mutual pair (its mirror is absent) and for every
+  /// diagonal block. Stored, not recomputed, so a plan reused after a
+  /// refit replays exactly the pairs it was built with.
+  std::vector<std::uint8_t> epol_near_weight;
   /// target = ordinal of leaf v in tree.leaves(), source = T_A node u id.
   std::vector<NodePair> epol_far;
 
@@ -80,15 +89,15 @@ struct InteractionPlan {
     return born_near.size() + born_far.size() + epol_near.size() +
            epol_far.size();
   }
-  /// Resident bytes of the four lists and their chunk tables.
+  /// Resident bytes of the four lists, the weights and the chunk tables.
   std::size_t memory_bytes() const;
 };
 
 /// Traversal-only pass over T_Q-vs-T_A (Born phase, Figure 2 criterion)
 /// and T_A-vs-T_A (E_pol phase, Figure 3 criterion). With a pool the
 /// per-owner and per-leaf-range traversals run as parallel tasks into
-/// private vectors that are merged in task order, so the plan is the
-/// same either way. Throws std::invalid_argument for non-positive
+/// private vectors, which parallel tasks then copy to their
+/// prefix-summed offsets, so the plan is the same either way. Throws std::invalid_argument for non-positive
 /// epsilons.
 InteractionPlan build_interaction_plan(
     const BornOctrees& trees, const ApproxParams& params,

@@ -50,7 +50,6 @@ void run_chunks(parallel::WorkStealingPool* pool,
   });
 }
 
-#ifdef OCTGB_SIMD_AVX2
 // Flat node-center / q-weighted-normal arrays for the SIMD far row:
 // indexed by node id so plan items can be gathered without touching
 // the (much wider) octree::Node records.
@@ -93,7 +92,46 @@ NodeCenterSoA build_node_center_soa(const BornOctrees& trees) {
   }
   return soa;
 }
-#endif  // OCTGB_SIMD_AVX2
+
+// Deposits the born_far items [i, j) -- one run sharing a source q-leaf,
+// so every target in it is distinct -- into ws.node_s: through the AVX2
+// kernel when `far` (node centers) is given, its last n % 4 items and
+// every item otherwise through born_far_deposit. Both give each item
+// the same bits.
+void born_far_run(const BornOctrees& trees, const NodeCenterSoA* far,
+                  const std::vector<NodePair>& items, std::uint32_t i,
+                  std::uint32_t j, BornWorkspace& ws) {
+  const std::uint32_t src = items[i].source;
+  std::uint32_t done = 0;
+#ifdef OCTGB_SIMD_AVX2
+  if (far != nullptr) {
+    const NodeCenterSoA& c = *far;
+    static_assert(sizeof(NodePair) == 2 * sizeof(std::uint32_t));
+    done = simd::born_far_run_avx2(
+        reinterpret_cast<const std::uint32_t*>(items.data() + i), j - i,
+        c.acx.data(), c.acy.data(), c.acz.data(), c.qcx[src], c.qcy[src],
+        c.qcz[src], c.qwx[src], c.qwy[src], c.qwz[src], ws.node_s.data());
+  }
+#else
+  (void)far;
+#endif
+  for (std::uint32_t k = i + done; k < j; ++k) {
+    born_far_deposit(trees, items[k].target, src, ws);
+  }
+}
+
+// Calls run(i, j) for each maximal run of items [b, e) sharing a source.
+template <typename Run>
+void for_each_source_run(const std::vector<NodePair>& items, std::uint32_t b,
+                         std::uint32_t e, Run&& run) {
+  std::uint32_t i = b;
+  while (i < e) {
+    std::uint32_t j = i + 1;
+    while (j < e && items[j].source == items[i].source) ++j;
+    run(i, j);
+    i = j;
+  }
+}
 
 template <typename Math>
 double epol_row_scalar(const EpolSoA& soa, std::uint32_t ub,
@@ -103,6 +141,49 @@ double epol_row_scalar(const EpolSoA& soa, std::uint32_t ub,
   for (std::uint32_t ui = ub; ui < ue; ++ui) {
     const geom::Vec3 d{soa.x[ui] - px, soa.y[ui] - py, soa.z[ui] - pz};
     sum += fgb_term<Math>(soa.q[ui], qv, d.norm2(), soa.born[ui] * rv);
+  }
+  return sum;
+}
+
+// Scalar twin of epol_near_block_avx2: same rows, same diagonal rule
+// (upper triangle doubled plus the self terms), scalar row sums.
+template <typename Math>
+double near_block_scalar(const EpolSoA& soa, std::uint32_t ub,
+                         std::uint32_t ue, std::uint32_t vb,
+                         std::uint32_t ve, double weight) {
+  const bool diagonal = ub == vb && ue == ve;
+  double pairs = 0.0;
+  double self = 0.0;
+  for (std::uint32_t vi = vb; vi < ve; ++vi) {
+    if (diagonal) self += fgb_self_term(soa.q[vi], soa.born[vi]);
+    pairs += epol_row_scalar<Math>(soa, diagonal ? vi + 1 : ub, ue,
+                                   soa.x[vi], soa.y[vi], soa.z[vi],
+                                   soa.q[vi], soa.born[vi]);
+  }
+  return diagonal ? 2.0 * pairs + self : weight * pairs;
+}
+
+template <typename Math>
+double far_block_scalar(const ChargeBins& bins, std::uint32_t u_idx,
+                        std::uint32_t v_idx, double d2) {
+  // Only non-empty bin combinations contribute; iterating the CSR lists
+  // (ascending, like the dense scan they replace) skips the mostly-empty
+  // histogram rows without perturbing the summation order.
+  double sum = 0.0;
+  const std::uint32_t u_lo = bins.nz_offset[u_idx];
+  const std::uint32_t u_hi = bins.nz_offset[u_idx + 1];
+  const std::uint32_t v_lo = bins.nz_offset[v_idx];
+  const std::uint32_t v_hi = bins.nz_offset[v_idx + 1];
+  for (std::uint32_t ki = u_lo; ki < u_hi; ++ki) {
+    const int i = bins.nz_bin[ki];
+    const double qu = bins.at(u_idx, i);
+    const double ru = bins.bin_radius[static_cast<std::size_t>(i)];
+    for (std::uint32_t kj = v_lo; kj < v_hi; ++kj) {
+      const int j = bins.nz_bin[kj];
+      const double qv = bins.at(v_idx, j);
+      const double rr = ru * bins.bin_radius[static_cast<std::size_t>(j)];
+      sum += fgb_term<Math>(qu, qv, d2, rr);
+    }
   }
   return sum;
 }
@@ -218,8 +299,41 @@ double epol_row(const EpolSoA& soa, std::uint32_t ub, std::uint32_t ue,
 #endif
   return approx_math ? epol_row_scalar<util::ApproxMath>(soa, ub, ue, px,
                                                          py, pz, qv, rv)
-                     : epol_row_scalar<util::ExactMath>(soa, ub, ue, px,
-                                                        py, pz, qv, rv);
+                     : epol_row_scalar<KernelMath>(soa, ub, ue, px, py, pz,
+                                                   qv, rv);
+}
+
+double epol_near_block(const EpolSoA& soa, std::uint32_t ub,
+                       std::uint32_t ue, std::uint32_t vb, std::uint32_t ve,
+                       int weight, bool approx_math, bool use_simd) {
+  const auto w = static_cast<double>(weight);
+#ifdef OCTGB_SIMD_AVX2
+  if (use_simd) {
+    return simd::epol_near_block_avx2(soa.x.data(), soa.y.data(),
+                                      soa.z.data(), soa.q.data(),
+                                      soa.born.data(), ub, ue, vb, ve, w,
+                                      approx_math);
+  }
+#else
+  (void)use_simd;
+#endif
+  return approx_math
+             ? near_block_scalar<util::ApproxMath>(soa, ub, ue, vb, ve, w)
+             : near_block_scalar<KernelMath>(soa, ub, ue, vb, ve, w);
+}
+
+void exp_batch(std::span<const double> x, std::span<double> out,
+               bool use_simd) {
+  OCTGB_REQUIRE(out.size() >= x.size(), "exp_batch: output too short");
+#ifdef OCTGB_SIMD_AVX2
+  if (use_simd && simd_available()) {
+    simd::exp_avx2(x.data(), out.data(), x.size());
+    return;
+  }
+#else
+  (void)use_simd;
+#endif
+  for (std::size_t i = 0; i < x.size(); ++i) out[i] = kernel_exp(x[i]);
 }
 
 double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
@@ -255,7 +369,9 @@ double epol_far_bins(const ChargeBins& bins, std::uint32_t u_node,
 #else
   (void)use_simd;
 #endif
-  return epol_far_block(bins, u_node, v_node, d2, approx_math);
+  return approx_math
+             ? far_block_scalar<util::ApproxMath>(bins, u_node, v_node, d2)
+             : far_block_scalar<KernelMath>(bins, u_node, v_node, d2);
 }
 
 BornRadiiResult born_radii_batched(const BornOctrees& trees,
@@ -326,54 +442,50 @@ BornRadiiResult born_radii_batched(const BornOctrees& trees,
                  }
                });
   }
-#ifdef OCTGB_SIMD_AVX2
-  if (use_simd) {
-    // The far list is the bulk of the plan (one monopole deposit per
-    // item), so it is worth a dedicated 4-item-per-pass kernel. Within
-    // an owner the list is grouped by source q-leaf, so it is runs of
-    // items with a constant source: hoist the six q-side loads out of
-    // each run and vectorize only the target gathers. A run's last
-    // n % 4 items take the scalar born_far_deposit (born_far_run_avx2).
-    const NodeCenterSoA far = build_node_center_soa(trees);
-    static_assert(sizeof(NodePair) == 2 * sizeof(std::uint32_t));
-    run_chunks(pool, plan.born_far_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 std::uint32_t i = b;
-                 while (i < e) {
-                   const std::uint32_t src = plan.born_far[i].source;
-                   std::uint32_t j = i + 1;
-                   while (j < e && plan.born_far[j].source == src) ++j;
-                   const auto* pairs =
-                       reinterpret_cast<const std::uint32_t*>(
-                           plan.born_far.data() + i);
-                   const std::uint32_t done = simd::born_far_run_avx2(
-                       pairs, j - i, far.acx.data(), far.acy.data(),
-                       far.acz.data(), far.qcx[src], far.qcy[src],
-                       far.qcz[src], far.qwx[src], far.qwy[src],
-                       far.qwz[src], ws.node_s.data());
-                   for (std::uint32_t k = i + done; k < j; ++k) {
-                     born_far_deposit(trees, plan.born_far[k].target, src,
-                                      ws);
-                   }
-                   i = j;
-                 }
-               });
-  } else
-#endif
-  {
-    run_chunks(pool, plan.born_far_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 for (std::uint32_t i = b; i < e; ++i) {
-                   const NodePair p = plan.born_far[i];
-                   born_far_deposit(trees, p.target, p.source, ws);
-                 }
-               });
-  }
+  // The far list is the bulk of the plan (one monopole deposit per
+  // item), so the SIMD engine runs a dedicated 4-item-per-pass kernel.
+  // Within an owner the list is grouped by source q-leaf, so it is runs
+  // of items with a constant source: the kernel hoists the six q-side
+  // loads out of each run and vectorizes only the target gathers.
+  const NodeCenterSoA far_soa =
+      use_simd ? build_node_center_soa(trees) : NodeCenterSoA{};
+  const NodeCenterSoA* far = use_simd ? &far_soa : nullptr;
+  run_chunks(pool, plan.born_far_chunks,
+             [&](std::uint32_t b, std::uint32_t e) {
+               for_each_source_run(
+                   plan.born_far, b, e, [&](std::uint32_t i, std::uint32_t j) {
+                     born_far_run(trees, far, plan.born_far, i, j, ws);
+                   });
+             });
   BornRadiiResult out;
   out.radii.assign(mol.size(), 0.0);
   push_integrals_to_atoms(trees, mol, ws, 0, mol.size(), params,
                           out.radii, pool);
   return out;
+}
+
+std::vector<double> born_far_terms(const BornOctrees& trees,
+                                   const InteractionPlan& plan,
+                                   SimdMode mode) {
+  const bool use_simd = mode == SimdMode::kAuto && simd_enabled();
+  const NodeCenterSoA far_soa =
+      use_simd ? build_node_center_soa(trees) : NodeCenterSoA{};
+  const NodeCenterSoA* far = use_simd ? &far_soa : nullptr;
+  // Each run deposits into zeroed slots with distinct targets, so after
+  // the run a target's slot holds exactly its item's deposit.
+  BornWorkspace ws(trees);
+  std::vector<double> terms(plan.born_far.size());
+  for_each_source_run(
+      plan.born_far, 0, static_cast<std::uint32_t>(plan.born_far.size()),
+      [&](std::uint32_t i, std::uint32_t j) {
+        born_far_run(trees, far, plan.born_far, i, j, ws);
+        for (std::uint32_t k = i; k < j; ++k) {
+          double& slot = ws.node_s[plan.born_far[k].target];
+          terms[k] = slot;
+          slot = 0.0;
+        }
+      });
+  return terms;
 }
 
 EpolResult epol_batched(const octree::Octree& tree,
@@ -391,6 +503,8 @@ EpolResult epol_batched(const octree::Octree& tree,
   OCTGB_REQUIRE(plan.epol_far_chunks.empty() ||
                     plan.epol_far_chunks.back() == plan.epol_far.size(),
                 "epol_far chunk table does not cover its pair list");
+  OCTGB_REQUIRE(plan.epol_near_weight.size() == plan.epol_near.size(),
+                "epol_near weights do not match its pair list");
   OCTGB_REQUIRE(born_radii.size() == tree.num_points() &&
                     mol.size() == tree.num_points(),
                 "born radii / molecule size mismatch with tree");
@@ -398,7 +512,7 @@ EpolResult epol_batched(const octree::Octree& tree,
       build_charge_bins(tree, mol.charges(), born_radii, params.eps_epol);
   const auto leaves = tree.leaves();
   // One near and one far accumulator per leaf V -- the same
-  // two-accumulator split epol_one_leaf keeps, so the final leaf-order
+  // two-accumulator split approx_epol keeps, so the final leaf-order
   // reduction reproduces the fused engine's summation order exactly.
   std::vector<double> near_acc(leaves.size(), 0.0);
   std::vector<double> far_acc(leaves.size(), 0.0);
@@ -408,9 +522,12 @@ EpolResult epol_batched(const octree::Octree& tree,
   OCTGB_COUNTER_ADD("gb.epol_far_pairs", plan.epol_far.size());
   {
     std::uint64_t rows = 0;
-    for (const NodePair p : plan.epol_near) {
-      rows += tree.node(leaves[p.target]).count();
+    std::uint64_t weight2 = 0;
+    for (std::size_t i = 0; i < plan.epol_near.size(); ++i) {
+      rows += tree.node(leaves[plan.epol_near[i].target]).count();
+      weight2 += plan.epol_near_weight[i] == 2 ? 1 : 0;
     }
+    OCTGB_COUNTER_ADD("gb.epol_near_weight2", weight2);
     if (use_simd) {
       OCTGB_COUNTER_ADD("gb.epol_rows_simd", rows);
     } else {
@@ -419,42 +536,19 @@ EpolResult epol_batched(const octree::Octree& tree,
   }
 #endif
 
-#ifdef OCTGB_SIMD_AVX2
-  if (use_simd) {
-    // The whole U x V block crosses the TU boundary in one call; the
-    // per-v-atom row loop (including the diagonal self-term split)
-    // lives in the AVX2 TU so millions of leaf-sized rows don't pay a
-    // call + broadcast setup each.
-    const EpolSoA soa = build_epol_soa(tree, mol, born_radii);
-    run_chunks(
-        pool, plan.epol_near_chunks,
-        [&](std::uint32_t b, std::uint32_t e) {
-          for (std::uint32_t i = b; i < e; ++i) {
-            const NodePair p = plan.epol_near[i];
-            const octree::Node& u_node = tree.node(p.source);
-            const octree::Node& v_node = tree.node(leaves[p.target]);
-            const bool diagonal = u_node.begin == v_node.begin &&
-                                  u_node.end == v_node.end;
-            const double acc = simd::epol_near_block_avx2(
-                soa.x.data(), soa.y.data(), soa.z.data(), soa.q.data(),
-                soa.born.data(), u_node.begin, u_node.end, v_node.begin,
-                v_node.end, diagonal, params.approx_math);
-            near_acc[p.target] += acc;
-          }
-        });
-  } else
-#endif
-  {
-    run_chunks(pool, plan.epol_near_chunks,
-               [&](std::uint32_t b, std::uint32_t e) {
-                 for (std::uint32_t i = b; i < e; ++i) {
-                   const NodePair p = plan.epol_near[i];
-                   near_acc[p.target] +=
-                       epol_exact_block(tree, mol, born_radii, p.source,
-                                        leaves[p.target], params.approx_math);
-                 }
-               });
-  }
+  const EpolSoA soa = build_epol_soa(tree, mol, born_radii);
+  run_chunks(pool, plan.epol_near_chunks,
+             [&](std::uint32_t b, std::uint32_t e) {
+               for (std::uint32_t i = b; i < e; ++i) {
+                 const NodePair p = plan.epol_near[i];
+                 const octree::Node& u_node = tree.node(p.source);
+                 const octree::Node& v_node = tree.node(leaves[p.target]);
+                 near_acc[p.target] += epol_near_block(
+                     soa, u_node.begin, u_node.end, v_node.begin,
+                     v_node.end, plan.epol_near_weight[i],
+                     params.approx_math, use_simd);
+               }
+             });
 
   run_chunks(pool, plan.epol_far_chunks,
              [&](std::uint32_t b, std::uint32_t e) {

@@ -4,19 +4,31 @@
 // raw-pointer functions in kernels_batch_simd.h, and the dispatcher
 // only calls them after __builtin_cpu_supports confirms the ISA.
 //
+// The TU is also compiled with -ffp-contract=off: a mul/add intrinsic
+// pair stays two rounded operations, and every FMA below is an explicit
+// _mm256_fmadd_pd. Two kernels rely on that:
+//
+//  * exp_pd is the project's exact-math exp, lane for lane the same
+//    operations as kernel_exp (src/gb/kernel_primitives.h), so each lane
+//    equals the scalar twin bit for bit;
+//  * born_far_run_avx2 repeats born_far_deposit's expression, so an AVX2
+//    far deposit equals the scalar one and kAuto Born radii do not depend
+//    on how a far run splits into quads.
+//
 // The approximate-math vector routines reimplement util/fastmath.h
-// *operation for operation*: every lane performs the same bit tricks,
-// Newton steps and polynomial the scalar functions do, so per-element
-// results agree with the scalar engine to the last few ulps and the
-// only systematic difference between engines is the 4-way summation
-// order (verified < 1e-10 relative by tests/kernels_batch_test).
+// step for step (with FMA where the scalar code has a mul and an add),
+// so per-element results agree with the scalar engine to the last few
+// ulps. The E_pol rows sum 4 lanes and then the lanes, so SIMD and
+// scalar E_pol differ in summation order (relative ~1e-15); every E_pol
+// tree engine calls these same kernels through the dispatchers in
+// kernels_batch.cpp, so fused and batched E_pol agree bit for bit.
 #include "src/gb/kernels_batch_simd.h"
 
 #ifdef OCTGB_SIMD_AVX2
 
 #include <immintrin.h>
 
-#include <cmath>
+#include <cstddef>
 
 #include "src/gb/kernel_primitives.h"
 
@@ -82,14 +94,61 @@ inline __m256d fast_exp_pd(__m256d x) {
   return _mm256_andnot_pd(underflow, result);
 }
 
-// exp for the ExactMath policy: there is no correctly-rounded vector
-// libm here, so spill the 4 arguments and call std::exp per lane. The
-// surrounding arithmetic stays vectorized; only this call is scalar.
-inline __m256d exact_exp_pd(__m256d x) {
-  alignas(32) double a[4];
-  _mm256_store_pd(a, x);
-  for (double& v : a) v = std::exp(v);  // lint:allow(fastmath) ExactMath lane spill, must match libm
-  return _mm256_load_pd(a);
+// kernel_exp (src/gb/kernel_primitives.h), lane-vectorized: the same
+// clamp, Cody-Waite reduction, degree-13 Estrin polynomial and two-step
+// 2^k scaling, one intrinsic per scalar operation. The integer k is
+// read from the shifted mantissa and the biased exponents are built with
+// 64-bit integer adds and shifts, so there is no float-to-int
+// conversion and no lane (masked tail lanes included) can raise
+// FE_INVALID; the clamp keeps both scale factors normal and the product
+// finite, so there is no FE_OVERFLOW either.
+inline __m256d exp_pd(__m256d x) {
+  using namespace exp_detail;
+  const __m256d under =
+      _mm256_cmp_pd(x, _mm256_set1_pd(kUnderflow), _CMP_LT_OQ);
+  x = _mm256_max_pd(x, _mm256_set1_pd(kMinArg));
+  x = _mm256_min_pd(x, _mm256_set1_pd(kMaxArg));
+  const __m256d shifter = _mm256_set1_pd(kShifter);
+  const __m256d t =
+      _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(kLog2e)), shifter);
+  const __m256d kd = _mm256_sub_pd(t, shifter);
+  const __m256i k = _mm256_sub_epi64(_mm256_castpd_si256(t),
+                                     _mm256_castpd_si256(shifter));
+  const __m256d r = _mm256_sub_pd(
+      _mm256_sub_pd(x, _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Hi))),
+      _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo)));
+  const auto c = [](int i) { return _mm256_set1_pd(kPoly[i]); };
+  // a + b * m, two rounded operations (the TU does not contract).
+  const auto mul_add = [](__m256d a, __m256d b, __m256d m) {
+    return _mm256_add_pd(a, _mm256_mul_pd(b, m));
+  };
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d r4 = _mm256_mul_pd(r2, r2);
+  const __m256d r8 = _mm256_mul_pd(r4, r4);
+  const __m256d q0 = mul_add(c(0), c(1), r);
+  const __m256d q1 = mul_add(c(2), c(3), r);
+  const __m256d q2 = mul_add(c(4), c(5), r);
+  const __m256d q3 = mul_add(c(6), c(7), r);
+  const __m256d q4 = mul_add(c(8), c(9), r);
+  const __m256d q5 = mul_add(c(10), c(11), r);
+  const __m256d q6 = mul_add(c(12), c(13), r);
+  const __m256d s0 = mul_add(q0, q1, r2);
+  const __m256d s1 = mul_add(q2, q3, r2);
+  const __m256d s2 = mul_add(q4, q5, r2);
+  const __m256d t0 = mul_add(s0, s1, r4);
+  const __m256d t1 = mul_add(s2, q6, r4);
+  const __m256d p = mul_add(t0, t1, r8);
+  const __m256i k1 = _mm256_sub_epi64(
+      _mm256_srli_epi64(_mm256_add_epi64(k, _mm256_set1_epi64x(2048)), 1),
+      _mm256_set1_epi64x(1024));
+  const __m256i k2 = _mm256_sub_epi64(k, k1);
+  const __m256i bias = _mm256_set1_epi64x(1023);
+  const __m256d scale1 = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(k1, bias), 52));
+  const __m256d scale2 = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi64(k2, bias), 52));
+  const __m256d y = _mm256_mul_pd(_mm256_mul_pd(p, scale1), scale2);
+  return _mm256_andnot_pd(under, y);
 }
 
 inline __m256d exact_rsqrt_pd(__m256d x) {
@@ -102,23 +161,26 @@ inline __m256d fgb_pd(__m256d quqv, __m256d r2, __m256d rr) {
   const __m256d arg = _mm256_div_pd(
       _mm256_sub_pd(_mm256_setzero_pd(), r2),
       _mm256_mul_pd(_mm256_set1_pd(4.0), rr));
-  const __m256d e = kApprox ? fast_exp_pd(arg) : exact_exp_pd(arg);
+  const __m256d e = kApprox ? fast_exp_pd(arg) : exp_pd(arg);
   const __m256d f2 = _mm256_fmadd_pd(rr, e, r2);
   return _mm256_mul_pd(quqv,
                        kApprox ? fast_rsqrt_pd(f2) : exact_rsqrt_pd(f2));
 }
 
+// Adds the f_GB terms of the atom (px, py, pz, qv, rv) against the
+// atoms [ub, ue) to the lanes of `acc`. The last ue - ub mod 4 atoms
+// run as one masked pass.
 template <bool kApprox>
-double epol_row_impl(const double* ux, const double* uy, const double* uz,
-                     const double* uq, const double* uborn,
-                     std::uint32_t ub, std::uint32_t ue, double px,
-                     double py, double pz, double qv, double rv) {
+__m256d epol_row_acc(__m256d acc, const double* ux, const double* uy,
+                     const double* uz, const double* uq,
+                     const double* uborn, std::uint32_t ub,
+                     std::uint32_t ue, double px, double py, double pz,
+                     double qv, double rv) {
   const __m256d pxv = _mm256_set1_pd(px);
   const __m256d pyv = _mm256_set1_pd(py);
   const __m256d pzv = _mm256_set1_pd(pz);
   const __m256d qvv = _mm256_set1_pd(qv);
   const __m256d rvv = _mm256_set1_pd(rv);
-  __m256d acc = _mm256_setzero_pd();
   std::uint32_t i = ub;
   for (; i + 4 <= ue; i += 4) {
     const __m256d dx = _mm256_sub_pd(_mm256_loadu_pd(ux + i), pxv);
@@ -148,31 +210,39 @@ double epol_row_impl(const double* ux, const double* uy, const double* uz,
         _mm256_mul_pd(_mm256_maskload_pd(uq + i, m), qvv);
     acc = _mm256_add_pd(acc, fgb_pd<kApprox>(quqv, r2, rr));
   }
-  return hsum(acc);
+  return acc;
 }
 
+template <bool kApprox>
+double epol_row_impl(const double* ux, const double* uy, const double* uz,
+                     const double* uq, const double* uborn,
+                     std::uint32_t ub, std::uint32_t ue, double px,
+                     double py, double pz, double qv, double rv) {
+  return hsum(epol_row_acc<kApprox>(_mm256_setzero_pd(), ux, uy, uz, uq,
+                                    uborn, ub, ue, px, py, pz, qv, rv));
+}
+
+// One near block, rows of v against u accumulated in one vector and
+// reduced once. A diagonal block (U == V) takes each unordered pair once
+// from its upper triangle, doubled, plus the exact self terms q_v^2/R_v.
 template <bool kApprox>
 double epol_near_block_impl(const double* ux, const double* uy,
                             const double* uz, const double* uq,
                             const double* uborn, std::uint32_t ub,
                             std::uint32_t ue, std::uint32_t vb,
-                            std::uint32_t ve, bool diagonal) {
-  double acc = 0.0;
+                            std::uint32_t ve, double weight) {
+  const bool diagonal = ub == vb && ue == ve;
+  __m256d acc = _mm256_setzero_pd();
+  double self = 0.0;
   for (std::uint32_t vi = vb; vi < ve; ++vi) {
     const double qv = uq[vi];
     const double rv = uborn[vi];
-    if (diagonal) {
-      acc += epol_row_impl<kApprox>(ux, uy, uz, uq, uborn, ub, vi,
-                                    ux[vi], uy[vi], uz[vi], qv, rv);
-      acc += fgb_self_term(qv, rv);
-      acc += epol_row_impl<kApprox>(ux, uy, uz, uq, uborn, vi + 1, ue,
-                                    ux[vi], uy[vi], uz[vi], qv, rv);
-    } else {
-      acc += epol_row_impl<kApprox>(ux, uy, uz, uq, uborn, ub, ue,
-                                    ux[vi], uy[vi], uz[vi], qv, rv);
-    }
+    if (diagonal) self += fgb_self_term(qv, rv);
+    acc = epol_row_acc<kApprox>(acc, ux, uy, uz, uq, uborn,
+                                diagonal ? vi + 1 : ub, ue, ux[vi],
+                                uy[vi], uz[vi], qv, rv);
   }
-  return acc;
+  return diagonal ? 2.0 * hsum(acc) + self : weight * hsum(acc);
 }
 
 template <bool kApprox>
@@ -257,12 +327,11 @@ std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
                                 double qwx, double qwy, double qwz,
                                 double* node_s) {
   // Every float op below is an explicit mul/add/div intrinsic in the
-  // same association order as far_deposit's scalar expression. The
-  // compiler may still contract a mul/add pair into an FMA under
-  // -mfma, so a lane can differ from the scalar deposit in the last
-  // ulp. Targets within a run are unique (the traversal visits each
-  // atom node once per q-leaf), so the in-order lane scatter cannot
-  // alias.
+  // same association order as far_deposit's scalar expression, and the
+  // TU's -ffp-contract=off keeps each one separately rounded, so every
+  // lane equals born_far_deposit bit for bit. Targets within a run are
+  // unique (the traversal visits each atom node once per q-leaf), so the
+  // in-order lane scatter cannot alias.
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d qx = _mm256_set1_pd(qcx);
   const __m256d qy = _mm256_set1_pd(qcy);
@@ -316,13 +385,13 @@ double epol_near_block_avx2(const double* ux, const double* uy,
                             const double* uz, const double* uq,
                             const double* uborn, std::uint32_t ub,
                             std::uint32_t ue, std::uint32_t vb,
-                            std::uint32_t ve, bool diagonal,
+                            std::uint32_t ve, double weight,
                             bool approx_math) {
   return approx_math
              ? epol_near_block_impl<true>(ux, uy, uz, uq, uborn, ub, ue,
-                                          vb, ve, diagonal)
+                                          vb, ve, weight)
              : epol_near_block_impl<false>(ux, uy, uz, uq, uborn, ub, ue,
-                                           vb, ve, diagonal);
+                                           vb, ve, weight);
 }
 
 double epol_far_row_avx2(const double* qv, const double* rv,
@@ -330,6 +399,18 @@ double epol_far_row_avx2(const double* qv, const double* rv,
                          bool approx_math) {
   return approx_math ? epol_far_row_impl<true>(qv, rv, n, qu, ru, d2)
                      : epol_far_row_impl<false>(qv, rv, n, qu, ru, d2);
+}
+
+void exp_avx2(const double* x, double* out, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, exp_pd(_mm256_loadu_pd(x + i)));
+  }
+  if (i < n) {
+    // Masked tail: inactive lanes load as 0 and are not stored.
+    const __m256i m = tail_mask(static_cast<std::uint32_t>(n - i));
+    _mm256_maskstore_pd(out + i, m, exp_pd(_mm256_maskload_pd(x + i, m)));
+  }
 }
 
 }  // namespace octgb::gb::simd

@@ -1,11 +1,13 @@
 // kernels_batch_simd.h -- internal contract between the dispatch TU
 // (kernels_batch.cpp, compiled with the project's baseline flags) and
-// the AVX2 TU (kernels_batch_avx2.cpp, compiled with -mavx2 -mfma).
+// the AVX2 TU (kernels_batch_avx2.cpp, compiled with -mavx2 -mfma
+// -ffp-contract=off).
 // Only raw-pointer signatures cross the boundary so the AVX2 TU stays
 // independent of the library's data structures; nothing here is part of
 // the public API.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #ifdef OCTGB_SIMD_AVX2
@@ -27,11 +29,11 @@ double born_row_avx2(const double* qx, const double* qy, const double* qz,
 /// across lanes. Keeping the source fixed turns six of the nine
 /// per-quad gathers into hoisted broadcasts -- the kernel becomes three
 /// gathers plus arithmetic. Deposits go into node_s[target] with a
-/// plain `+=` (the caller's chunk owns the slots) using the association
-/// order of far_deposit's scalar expression (targets within a run are
-/// unique, so per-slot deposit order is unaffected). Only
-/// floor(n/4)*4 items are processed; the caller runs the tail through
-/// born_far_deposit.
+/// plain `+=` (the caller's chunk owns the slots). Each lane evaluates
+/// far_deposit's scalar expression with the same separately rounded
+/// operations (the TU is built with -ffp-contract=off), so a deposit
+/// equals born_far_deposit's bit for bit. Only floor(n/4)*4 items are
+/// processed; the caller runs the tail through born_far_deposit.
 std::uint32_t born_far_run_avx2(const std::uint32_t* pairs,
                                 std::uint32_t n, const double* acx,
                                 const double* acy, const double* acz,
@@ -48,18 +50,19 @@ double epol_row_avx2(const double* ux, const double* uy, const double* uz,
                      double py, double pz, double qv, double rv,
                      bool approx_math);
 
-/// Whole near-field block U x V: one f_GB row per v atom in [vb, ve)
+/// Whole near-field block U x V: the f_GB rows of the v atoms [vb, ve)
 /// against the u atoms [ub, ue), all from the same SoA arrays (one
-/// octree). `diagonal` marks U == V blocks, where each row is split
-/// around the self pair and the exact q_v^2 / R_v self term is added
-/// instead (matching the fused engine's fgb_self_term). Keeping the
-/// v loop on this side of the TU boundary saves one call + broadcast
-/// setup per v atom, which adds up over millions of ~leaf-sized rows.
+/// octree), times `weight` (1, or 2 for a mutual pair evaluated once).
+/// A diagonal block (ub == vb, ue == ve) sums its upper triangle,
+/// doubles it and adds the exact q_v^2 / R_v self terms; `weight` does
+/// not apply there. Keeping the v loop on this side of the TU boundary
+/// saves one call + broadcast setup per v atom, which adds up over
+/// millions of ~leaf-sized rows.
 double epol_near_block_avx2(const double* ux, const double* uy,
                             const double* uz, const double* uq,
                             const double* uborn, std::uint32_t ub,
                             std::uint32_t ue, std::uint32_t vb,
-                            std::uint32_t ve, bool diagonal,
+                            std::uint32_t ve, double weight,
                             bool approx_math);
 
 /// Far-field inner row: sum over j of qu * qv[j] / f_GB(d2, ru * rv[j])
@@ -67,6 +70,10 @@ double epol_near_block_avx2(const double* ux, const double* uy,
 double epol_far_row_avx2(const double* qv, const double* rv,
                          std::uint32_t n, double qu, double ru, double d2,
                          bool approx_math);
+
+/// exp_pd over n arguments (the last n mod 4 as one masked pass):
+/// out[i] == kernel_exp(x[i]) bit for bit.
+void exp_avx2(const double* x, double* out, std::size_t n);
 
 }  // namespace octgb::gb::simd
 

@@ -12,7 +12,9 @@
 //  * walk_epol: APPROX-EPOL (Figure 3). One target V, given as a bounding
 //    sphere, against T_A from the root: leaf first (leaves are always
 //    exact), then the far test, then the children. Visitors: the fused
-//    E_pol, the plan builder and the atom-division pseudo-leaves.
+//    E_pol, the plan builder and the atom-division pseudo-leaves. The
+//    fused E_pol and the plan builder weigh each near leaf pair with
+//    epol_near_weight, so a pair near in both walks is evaluated once.
 //  * walk_dual: the simultaneous two-tree traversal of the prior
 //    shared-memory work [Chowdhury & Bajaj 2010] used by OCT_CILK, for
 //    both phases.
@@ -170,6 +172,40 @@ void walk_epol(const octree::Octree& tree, const geom::Vec3& v_center,
     }
     for (const auto child : node.children) stack[top++] = child;
   }
+}
+
+/// True when the near pair (source leaf u, target leaf v) of walk_epol
+/// is mutual: the walk of u's own sphere reaches leaf v as well, that
+/// is, no proper ancestor of v passes `far` against u's sphere. Each
+/// test is the one walk_epol makes at that ancestor, expression for
+/// expression, so the answer agrees with the walk bit for bit.
+inline bool epol_mutual(const octree::Octree& tree, std::uint32_t u,
+                        std::uint32_t v, EpolFarTest far) {
+  const octree::Node& u_node = tree.node(u);
+  for (std::uint32_t p = tree.node(v).parent; p != octree::Node::kInvalid;
+       p = tree.node(p).parent) {
+    const octree::Node& anc = tree.node(p);
+    if (far(anc.radius + u_node.radius,
+            geom::distance2(anc.center, u_node.center))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Weight of the near pair (source leaf u, target leaf v) reached by
+/// walk_epol, under the symmetric rule: a mutual pair is evaluated once,
+/// weight 2, by the target with the higher leaf ordinal (leaves are in
+/// ascending point-range order, so ordinals compare as `begin`), and its
+/// mirror gets weight 0 (dropped); a one-way pair keeps weight 1. A
+/// diagonal block (u == v) is always symmetric and has weight 2: its
+/// kernel sums the upper triangle twice plus the self terms. The plan
+/// builder and the fused E_pol walk both decide through this function.
+inline int epol_near_weight(const octree::Octree& tree, std::uint32_t u,
+                            std::uint32_t v, EpolFarTest far) {
+  if (u == v) return 2;
+  if (!epol_mutual(tree, u, v, far)) return 1;
+  return tree.node(u).begin < tree.node(v).begin ? 2 : 0;
 }
 
 /// Dual-tree walk from (root_a, tb's root). A pair is terminal when far

@@ -486,8 +486,8 @@ double approx_epol_atom_division(const octree::Octree& tree,
     return params.approx_math
                ? pseudo_leaf_sum<util::ApproxMath>(tree, mol, bins,
                                                    born_radii, lo, hi, far)
-               : pseudo_leaf_sum<util::ExactMath>(tree, mol, bins,
-                                                  born_radii, lo, hi, far);
+               : pseudo_leaf_sum<gb::KernelMath>(tree, mol, bins,
+                                                 born_radii, lo, hi, far);
   };
   // Fixed reduction order (ascending pseudo-leaf index): bit-identical
   // to the serial loop at any worker count (see det_reduce.h).

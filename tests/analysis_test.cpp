@@ -147,9 +147,38 @@ TEST(ValidatePlanTest, CatchesDuplicatedPair) {
   Fixture f(800);
   ASSERT_FALSE(f.plan.epol_near.empty());
   f.plan.epol_near.push_back(f.plan.epol_near.front());
+  f.plan.epol_near_weight.push_back(f.plan.epol_near_weight.front());
   f.plan.epol_near_chunks.back() =
       static_cast<std::uint32_t>(f.plan.epol_near.size());
   EXPECT_FALSE(validate_plan(f.trees, f.plan, f.params).ok());
+}
+
+TEST(ValidatePlanTest, CatchesReinsertedMirrorOfWeightTwoPair) {
+  Fixture f(800);
+  const auto leaves = f.trees.atoms.leaves();
+  // An off-diagonal weight-2 item (target v, source u) also stands for
+  // its mirror (target u, source v); holding the mirror as well counts
+  // those atom pairs twice.
+  std::size_t k = f.plan.epol_near.size();
+  for (std::size_t i = 0; i < f.plan.epol_near.size(); ++i) {
+    const gb::NodePair p = f.plan.epol_near[i];
+    if (f.plan.epol_near_weight[i] == 2 && p.source != leaves[p.target]) {
+      k = i;
+      break;
+    }
+  }
+  ASSERT_LT(k, f.plan.epol_near.size()) << "plan has no mutual pair";
+  const gb::NodePair p = f.plan.epol_near[k];
+  std::uint32_t u_ord = 0;
+  while (leaves[u_ord] != p.source) ++u_ord;
+  f.plan.epol_near.push_back({u_ord, leaves[p.target]});
+  f.plan.epol_near_weight.push_back(1);
+  f.plan.epol_near_chunks.back() =
+      static_cast<std::uint32_t>(f.plan.epol_near.size());
+  const Report r = validate_plan(f.trees, f.plan, f.params);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.str().find("times"), std::string::npos) << r.str();
+  EXPECT_NE(r.str().find("is mutual"), std::string::npos) << r.str();
 }
 
 TEST(ValidatePlanTest, CatchesNearPairReclassifiedAsFar) {

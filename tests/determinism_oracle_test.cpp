@@ -89,6 +89,7 @@ std::uint64_t digest_plan(const gb::InteractionPlan& plan) {
   add_pairs(plan.born_far);
   add_pairs(plan.epol_near);
   add_pairs(plan.epol_far);
+  d.span_u<std::uint8_t>(plan.epol_near_weight);
   return d.value();
 }
 
@@ -321,6 +322,41 @@ TEST(DeterminismOracleTest, PooledBatchedKernelsBitIdenticalAt20k) {
           << "mode=" << static_cast<int>(mode) << " workers=" << workers
           << " serial=" << epol << " pooled=" << pooled_epol;
     }
+  }
+}
+
+// Fused single-tree E_pol and the kAuto replay of a plan run the same
+// near/far kernels over the same pairs in the same order: at 20k atoms
+// and at every worker count, epol_octree equals epol_batched bit for
+// bit (and both equal their serial runs).
+TEST(DeterminismOracleTest, FusedEpolEqualsBatchedAutoAt20k) {
+  const auto mol = molecule::generate_protein(20000, 3);
+  parallel::WorkStealingPool build_pool(4);
+  const auto surf = surface::build_surface(mol, {}, &build_pool);
+  const auto trees = gb::build_born_octrees(mol, surf, {}, &build_pool);
+  const gb::ApproxParams approx;
+  const auto plan = gb::build_interaction_plan(trees, approx, &build_pool);
+  const auto born = gb::born_radii_batched(trees, mol, surf, plan, approx,
+                                           &build_pool);
+  const double serial =
+      gb::epol_octree(trees.atoms, mol, born.radii, approx, {}, nullptr)
+          .energy;
+  const std::uint64_t want = std::bit_cast<std::uint64_t>(serial);
+  for (const int workers : {1, 2, 4, 8}) {
+    parallel::WorkStealingPool pool(workers);
+    const double fused =
+        gb::epol_octree(trees.atoms, mol, born.radii, approx, {}, &pool)
+            .energy;
+    const double batched = gb::epol_batched(trees.atoms, mol, born.radii,
+                                            plan, approx, {}, &pool,
+                                            gb::SimdMode::kAuto)
+                               .energy;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fused), want)
+        << "workers=" << workers << " serial=" << serial
+        << " fused=" << fused;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched), want)
+        << "workers=" << workers << " serial=" << serial
+        << " batched=" << batched;
   }
 }
 

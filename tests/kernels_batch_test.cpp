@@ -1,18 +1,27 @@
 // Golden tests for the two-phase engine (interaction lists + batched
-// kernels): the scalar replay must reproduce the fused traversal
-// BIT-FOR-BIT (same expression trees, same summation order), the SIMD
-// engine within 1e-10 relative (only the 4-wide reduction order
+// kernels) and the shared E_pol kernels: the scalar Born replay must
+// reproduce the fused traversal BIT-FOR-BIT, fused E_pol must equal the
+// kAuto replay bit for bit (both call the same kernels), and the two
+// engines agree within 1e-10 relative (only the 4-wide reduction order
 // differs), across math policies, parallel execution and edge shapes.
+// The project's exp is checked against libm and lane for lane against
+// its scalar twin, and the symmetric E_pol plan against a direct walk.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfenv>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <utility>
 
 #include "src/gb/born.h"
 #include "src/gb/epol.h"
 #include "src/gb/interaction_lists.h"
+#include "src/gb/kernel_primitives.h"
 #include "src/gb/kernels_batch.h"
+#include "src/gb/traversal.h"
 #include "src/molecule/generators.h"
 #include "src/parallel/pool.h"
 #include "src/surface/quadrature.h"
@@ -113,15 +122,26 @@ TEST_P(BatchedVsFused, ScalarBornRadiiBitExact) {
   }
 }
 
-TEST_P(BatchedVsFused, ScalarEpolBitExact) {
+TEST_P(BatchedVsFused, FusedEpolEqualsBatchedAuto) {
+  // Fused and batched E_pol run the same near/far kernels with the same
+  // SIMD choice, over the same pairs in the same order.
   const Fixture f(1000, GetParam());
   const auto born = born_radii_octree(f.trees, f.mol, f.surf, f.params);
   const auto fused =
       epol_octree(f.trees.atoms, f.mol, born.radii, f.params);
   const auto batched =
       epol_batched(f.trees.atoms, f.mol, born.radii, f.plan, f.params, {},
-                   nullptr, SimdMode::kForceScalar);
+                   nullptr, SimdMode::kAuto);
   EXPECT_EQ(bits(batched.energy), bits(fused.energy));
+  // Without the AVX2 engine kAuto is the scalar engine.
+  const auto scalar =
+      epol_batched(f.trees.atoms, f.mol, born.radii, f.plan, f.params, {},
+                   nullptr, SimdMode::kForceScalar);
+  if (!simd_enabled()) {
+    EXPECT_EQ(bits(scalar.energy), bits(fused.energy));
+  } else {
+    EXPECT_LT(rel_diff(scalar.energy, fused.energy), 1e-10);
+  }
 }
 
 TEST_P(BatchedVsFused, SimdWithinTightTolerance) {
@@ -188,10 +208,12 @@ TEST(BatchedEdgeTest, SingleAtomMoleculeBitExact) {
   EXPECT_EQ(bits(batched.radii[0]), bits(fused.radii[0]));
   const auto fused_e =
       epol_octree(f.trees.atoms, f.mol, fused.radii, f.params);
-  const auto batched_e =
-      epol_batched(f.trees.atoms, f.mol, fused.radii, f.plan, f.params,
-                   {}, nullptr, SimdMode::kForceScalar);
-  EXPECT_EQ(bits(batched_e.energy), bits(fused_e.energy));
+  for (const SimdMode mode : {SimdMode::kAuto, SimdMode::kForceScalar}) {
+    // One atom: the self term alone, the same in either engine.
+    const auto batched_e = epol_batched(f.trees.atoms, f.mol, fused.radii,
+                                        f.plan, f.params, {}, nullptr, mode);
+    EXPECT_EQ(bits(batched_e.energy), bits(fused_e.energy));
+  }
 }
 
 TEST(BatchedEdgeTest, EmptyTreesYieldEmptyPlanAndZeroEnergy) {
@@ -210,12 +232,15 @@ TEST(BatchedEdgeTest, AllEqualBornRadiiBitExact) {
   const auto fused = epol_octree(f.trees.atoms, f.mol, born, f.params);
   const auto batched =
       epol_batched(f.trees.atoms, f.mol, born, f.plan, f.params, {},
-                   nullptr, SimdMode::kForceScalar);
+                   nullptr, SimdMode::kAuto);
   EXPECT_EQ(bits(batched.energy), bits(fused.energy));
-  if (simd_available()) {
-    const auto simd = epol_batched(f.trees.atoms, f.mol, born, f.plan,
-                                   f.params, {}, nullptr, SimdMode::kAuto);
-    EXPECT_LT(rel_diff(simd.energy, fused.energy), 1e-10);
+  const auto scalar =
+      epol_batched(f.trees.atoms, f.mol, born, f.plan, f.params, {},
+                   nullptr, SimdMode::kForceScalar);
+  if (!simd_enabled()) {
+    EXPECT_EQ(bits(scalar.energy), bits(fused.energy));
+  } else {
+    EXPECT_LT(rel_diff(scalar.energy, fused.energy), 1e-10);
   }
 }
 
@@ -257,6 +282,179 @@ TEST(BatchedRowTest, SimdFarBinsMatchScalar) {
                                       true);
     EXPECT_LT(rel_diff(simd, scalar), 1e-10) << "approx=" << approx;
   }
+}
+
+// ---------------------------------------------------------------- exp
+
+// Distance in units in the last place between two doubles of one sign.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::int64_t>(a);
+  const auto ib = std::bit_cast<std::int64_t>(b);
+  return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
+}
+
+// 2^20 arguments spread over [-745, 0] plus the edges: signed zeros,
+// the underflow cutoff and its neighbours, the subnormal-result range
+// and the normal/subnormal boundary. The count is not a multiple of 4,
+// so a SIMD pass ends in a masked tail.
+std::vector<double> exp_arguments() {
+  constexpr std::size_t kGrid = std::size_t{1} << 20;
+  std::vector<double> x;
+  x.reserve(kGrid + 32);
+  for (std::size_t i = 0; i < kGrid; ++i) {
+    x.push_back(-745.0 * static_cast<double>(i) /
+                static_cast<double>(kGrid - 1));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cutoff = exp_detail::kUnderflow;
+  const double min_normal = std::log(std::numeric_limits<double>::min());
+  for (const double e :
+       {-0.0, 0.0, cutoff, std::nextafter(cutoff, 0.0),
+        std::nextafter(cutoff, -inf), -745.0, -744.9, -740.0, -730.0,
+        -720.0, -710.0, min_normal, std::nextafter(min_normal, 0.0),
+        std::nextafter(min_normal, -inf), -708.0, -1e-300, -5e-324,
+        -745.2, -746.0, -1000.0, -0.5 * std::log(2.0),
+        0.5 * std::log(2.0)}) {
+    x.push_back(e);
+  }
+  x.push_back(-1.0);  // 2^20 + 23 arguments: 3 tail lanes
+  return x;
+}
+
+TEST(KernelExpTest, WithinTwoUlpOfLibm) {
+  std::uint64_t worst = 0;
+  double worst_at = 0.0;
+  for (const double x : exp_arguments()) {
+    const std::uint64_t d = ulp_distance(kernel_exp(x), std::exp(x));  // lint:allow(fastmath) libm is the reference
+    if (d > worst) {
+      worst = d;
+      worst_at = x;
+    }
+  }
+  EXPECT_LE(worst, 2u) << "at x = " << worst_at;
+  // Exactly +0 below the cutoff (where libm rounds to 0 as well) and
+  // exactly 1 at -0.
+  const double below = std::nextafter(exp_detail::kUnderflow, -1e9);
+  EXPECT_EQ(bits(kernel_exp(below)), 0u);
+  EXPECT_EQ(bits(kernel_exp(-1000.0)), 0u);
+  EXPECT_EQ(bits(kernel_exp(-0.0)), bits(1.0));
+}
+
+TEST(KernelExpTest, EachLaneEqualsScalarTwin) {
+  const std::vector<double> x = exp_arguments();
+  std::vector<double> lanes(x.size());
+  exp_batch(x, lanes, simd_available());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (bits(lanes[i]) != bits(kernel_exp(x[i]))) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Every masked-tail length, at every lane offset.
+  for (std::size_t len = 1; len < 8; ++len) {
+    for (std::size_t off = 0; off < 4; ++off) {
+      const std::span<const double> in(x.data() + x.size() - 12 + off, len);
+      std::vector<double> out(len);
+      exp_batch(in, out, simd_available());
+      for (std::size_t i = 0; i < len; ++i) {
+        EXPECT_EQ(bits(out[i]), bits(kernel_exp(in[i])))
+            << "len " << len << " offset " << off << " lane " << i;
+      }
+    }
+  }
+}
+
+TEST(KernelExpTest, RaisesNoInvalidDivByZeroOrOverflow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x = {-inf,  -1e308, -1000.0, -746.5, -745.2,
+                                 exp_detail::kUnderflow, -700.0, -0.0,
+                                 0.0,   1.0,    709.5,   1e308,  inf};
+  std::vector<double> lanes(x.size());
+  std::vector<double> scalar(x.size());
+  std::feclearexcept(FE_ALL_EXCEPT);
+  exp_batch(x, lanes, simd_available());
+  for (std::size_t i = 0; i < x.size(); ++i) scalar[i] = kernel_exp(x[i]);
+  EXPECT_EQ(std::fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW), 0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(bits(lanes[i]), bits(scalar[i])) << "x = " << x[i];
+    EXPECT_TRUE(std::isfinite(scalar[i])) << "x = " << x[i];
+  }
+}
+
+// ------------------------------------------------- symmetric E_pol plan
+
+// Every ordered leaf pair a direct walk_epol reaches is covered exactly
+// once by the plan: as a weight-1 item, as a weight-2 item, or as the
+// dropped mirror of a weight-2 item; and the plan covers nothing else.
+TEST(SymmetricPlanTest, EveryWalkPairCoveredOnce) {
+  const Fixture f(2000);
+  const octree::Octree& tree = f.trees.atoms;
+  const auto leaves = tree.leaves();
+  std::vector<std::uint32_t> ordinal(tree.num_nodes(), 0);
+  for (std::uint32_t ord = 0; ord < leaves.size(); ++ord) {
+    ordinal[leaves[ord]] = ord;
+  }
+  ASSERT_EQ(f.plan.epol_near_weight.size(), f.plan.epol_near.size());
+  std::map<std::pair<std::uint32_t, std::uint32_t>, int> covered;
+  std::size_t weight2 = 0;
+  for (std::size_t i = 0; i < f.plan.epol_near.size(); ++i) {
+    const NodePair p = f.plan.epol_near[i];
+    const int w = f.plan.epol_near_weight[i];
+    ASSERT_TRUE(w == 1 || w == 2) << "item " << i << " weight " << w;
+    ++covered[{p.target, p.source}];
+    if (w == 2 && p.source != leaves[p.target]) {
+      ++weight2;
+      ++covered[{ordinal[p.source], leaves[p.target]}];
+    }
+  }
+  EXPECT_GT(weight2, 0u);
+
+  const EpolFarTest far{1.0 + 2.0 / f.params.eps_epol};
+  std::size_t walked = 0;
+  for (std::uint32_t ord = 0; ord < leaves.size(); ++ord) {
+    const octree::Node& v = tree.node(leaves[ord]);
+    walk_epol(
+        tree, v.center, v.radius, far,
+        [&](std::uint32_t u) {
+          ++walked;
+          const auto it = covered.find({ord, u});
+          ASSERT_NE(it, covered.end()) << "pair (" << ord << "," << u
+                                       << ") not covered";
+          EXPECT_EQ(it->second, 1)
+              << "pair (" << ord << "," << u << ") covered " << it->second
+              << " times";
+        },
+        [](std::uint32_t, double) {});
+  }
+  EXPECT_EQ(covered.size(), walked) << "the plan covers pairs no walk makes";
+  EXPECT_LT(f.plan.epol_near.size(), walked);
+}
+
+// ------------------------------------------------ Born far lane-exact
+
+// The AVX2 far kernel evaluates born_far_deposit's expression with the
+// same rounded operations, so every deposit of a 20k-atom plan is the
+// scalar deposit bit for bit, whatever quad of its run it falls in.
+TEST(BornFarLaneExactTest, EveryDepositEqualsScalarAt20k) {
+  const auto mol = molecule::generate_protein(20000, 3);
+  parallel::WorkStealingPool pool(4);
+  const auto surf = surface::build_surface(mol, {}, &pool);
+  const auto trees = build_born_octrees(mol, surf, {}, &pool);
+  const InteractionPlan plan =
+      build_interaction_plan(trees, ApproxParams{}, &pool);
+  const std::vector<double> simd =
+      born_far_terms(trees, plan, SimdMode::kAuto);
+  const std::vector<double> scalar =
+      born_far_terms(trees, plan, SimdMode::kForceScalar);
+  ASSERT_EQ(simd.size(), plan.born_far.size());
+  ASSERT_EQ(scalar.size(), plan.born_far.size());
+  ASSERT_GT(plan.born_far.size(), 0u);
+  std::size_t mismatches = 0;
+  std::size_t first = 0;
+  for (std::size_t i = 0; i < simd.size(); ++i) {
+    if (bits(simd[i]) != bits(scalar[i]) && mismatches++ == 0) first = i;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first at item " << first << ": "
+                            << simd[first] << " vs " << scalar[first];
 }
 
 }  // namespace
